@@ -133,15 +133,23 @@ let run_experiments pool =
     ]
 
 (* The Bechamel half needs no CLI, so keep argument handling minimal:
-   `main.exe [--jobs N]`. *)
+   `main.exe [--jobs N]`.  A bad N is a usage error (exit 2), checked
+   before any benchmark runs. *)
 let jobs_of_argv () =
+  let usage n =
+    Printf.eprintf "bad --jobs %S (want a positive integer)\n" n;
+    exit 2
+  in
   let rec scan = function
-    | "--jobs" :: n :: _ -> ( try int_of_string n with _ -> 1)
+    | "--jobs" :: n :: _ -> (
+      match int_of_string_opt n with Some j when j >= 1 -> j | _ -> usage n)
+    | [ "--jobs" ] -> usage ""
     | _ :: rest -> scan rest
     | [] -> 1
   in
   scan (Array.to_list Sys.argv)
 
 let () =
+  let jobs = jobs_of_argv () in
   run_microbenchmarks ();
-  run_experiments (Harness.Jobs.create ~jobs:(jobs_of_argv ()) ())
+  run_experiments (Harness.Jobs.create ~jobs ())

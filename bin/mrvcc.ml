@@ -12,7 +12,6 @@
      mrvcc simulate --bench parser --mode H      # a bundled benchmark
      mrvcc simulate --bench mcf --sync-sched     # with the sync scheduler
      mrvcc simulate --bench mcf --engine ref     # cycle-stepped oracle engine
-     mrvcc simulate --bench mcf --icode off      # boxed-IR event dispatcher
      mrvcc analyze --bench mcf                   # static stall + violation model
      mrvcc analyze --bench mcf --validate        # ... checked against the sim
      mrvcc analyze --bench mcf --json            # machine-readable estimates
@@ -21,8 +20,8 @@
      mrvcc chaos --bench all --jobs 4            # same matrix, 4 domains
      mrvcc chaos --fuzz 20 --seed 7              # chaos-fuzz generated programs
      mrvcc chaos --bench all --capacity          # finite-resource sweep
-     mrvcc bench --json --out BENCH_PR9.json     # machine-readable baseline
      mrvcc bench --bench mcf --json              # one workload, to stdout
+     mrvcc bench --json --matrix --serve --out BENCH_BASELINE.json  # baseline
      mrvcc exec --bench parser --domains 4       # real TLS run on domains
      mrvcc exec --bench go --mode U --record r.jsonl   # record a racy run
      mrvcc exec --bench go --mode U --replay r.jsonl   # reproduce it serially
@@ -32,20 +31,19 @@
      mrvcc serve requests.jsonl --cache-dir .cache --deadline 5 --retries 2
      mrvcc chaos --serve --bench twolf,ijpeg     # service-layer fault matrix
      mrvcc bench --json --serve --out B.json     # + serve load phases
-     mrvcc benchdiff BENCH_PR10.json fresh.json  # perf-regression gate
+     mrvcc benchdiff BENCH_BASELINE.json fresh.json  # perf-regression gate
      mrvcc benchdiff old.json new.json --tolerance 0.3
 
    `--jobs N` runs independent matrix cells on N domains; the rendered
-   output is byte-identical to a serial run.  `--timeout S` (with
-   optional `--retry`) bounds each matrix job's wall time.  `--max-cycles
-   N` tightens the simulator cycle budget uniformly across every cell.
-   `simulate` takes the finite-resource knobs `--sig-buffer N`,
-   `--spec-lines N` (with `--overflow-policy stall|squash`) and
-   `--fwd-queue N` (DESIGN §12), plus `--engine ref|event` to pick the
-   simulator core (DESIGN §15; both engines are byte-identical, `event`
-   is the default and the fast one) and `--icode on|off` to toggle the
-   flat instruction encoding the event engine dispatches on (DESIGN
-   §17).  `benchdiff OLD NEW` compares two bench baselines: exact
+   output is byte-identical to a serial run.  `--timeout S` bounds each
+   matrix job's wall time, with `--retries N` (default 1) extra attempts
+   at doubling bounds.  `--max-cycles N` tightens the simulator cycle
+   budget uniformly across every cell.  `simulate` takes the
+   finite-resource knobs `--sig-buffer N`, `--spec-lines N` (with
+   `--overflow-policy stall|squash`) and `--fwd-queue N` (DESIGN §12),
+   plus `--engine ref|event` to pick the simulator core (DESIGN §15;
+   both engines are byte-identical, `event` is the default and the fast
+   one).  `benchdiff OLD NEW` compares two bench baselines: exact
    equality on deterministic counters, `--tolerance`-bounded growth on
    per-phase wall geomeans; exit 1 on regression.
 
@@ -55,24 +53,33 @@
    execution (reserved: sequential hooks cannot block today, see README);
    7 resource deadlock (finite forwarding queue backpressured a producer
    into a cycle); 8 serve admission queue shed at least one request;
-   9 a wall deadline was exceeded (serve request past its retry
-   schedule, or a matrix job past --timeout); 10 the speculative runtime
+   9 a wall deadline was exceeded (a serve request or a --timeout
+   matrix job past its retry schedule); 10 the speculative runtime
    wedged (exec wall-clock watchdog fired, typed Specrt_stuck); 11 an
    epoch exhausted its abort budget under exec (typed Abort_exhausted). *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Read a file named on the command line; a missing or unreadable one
+   is a usage error (exit 2), not an uncaught exception. *)
+let read_input read path =
+  try read path
+  with Sys_error msg ->
+    Printf.eprintf "cannot read %s\n"
+      (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg);
+    exit 2
+
+let read_file =
+  read_input (fun path -> In_channel.with_open_bin path In_channel.input_all)
 
 let parse_input_list s =
   if String.equal s "" then [||]
   else
-    String.split_on_char ',' s
-    |> List.map (fun x -> int_of_string (String.trim x))
-    |> Array.of_list
+    try
+      String.split_on_char ',' s
+      |> List.map (fun x -> int_of_string (String.trim x))
+      |> Array.of_list
+    with Failure _ ->
+      Printf.eprintf "bad --in %s (want comma-separated integers)\n" s;
+      exit 2
 
 (* Resolve source and input from either a file or a bundled benchmark. *)
 let resolve_program file bench input =
@@ -149,9 +156,6 @@ let guarded f =
     Printf.eprintf "resource deadlock: %s\n"
       (Tls.Sim.describe_resource_deadlock d);
     exit 7
-  | Harness.Jobs.Job_timeout { index; timeout_s } ->
-    Printf.eprintf "job %d exceeded its %.3fs wall deadline\n" index timeout_s;
-    exit 9
   | Harness.Jobs.Retries_exhausted { index; attempts } ->
     Printf.eprintf "job %d exhausted its retry budget (%d attempts)\n" index
       (List.length attempts);
@@ -430,7 +434,10 @@ let cmd_benchdiff old_file new_file tolerance =
     Printf.eprintf "--tolerance must be non-negative (got %g)\n" tolerance;
     exit 2
   end;
-  match Harness.Bench.compare_files ~tolerance old_path new_path with
+  match
+    Harness.Bench.compare_strings ~tolerance ~old_name:old_path
+      ~new_name:new_path (read_file old_path) (read_file new_path)
+  with
   | Ok report ->
     print_string report;
     Printf.printf "perf gate: OK (%s -> %s)\n" old_path new_path
@@ -441,7 +448,7 @@ let cmd_benchdiff old_file new_file tolerance =
     exit 1
 
 let cmd_simulate file bench input threshold mode mutate max_cycles limits
-    sync_sched engine icode =
+    sync_sched engine =
   let source, input = resolve_program file bench input in
   with_errors (fun () ->
       let memory_sync =
@@ -467,7 +474,6 @@ let cmd_simulate file bench input threshold mode mutate max_cycles limits
           (apply_limits limits (apply_budget max_cycles (config_of_mode mode)))
           with
           Tls.Config.engine;
-          icode;
         }
       in
       let bounded =
@@ -576,7 +582,7 @@ let cmd_exec file bench input threshold mode sync_sched
           watchdog_ms;
           max_aborts;
           faults = List.map parse_exec_fault injects;
-          replay = Option.map Specrt.read_log replay;
+          replay = Option.map (read_input Specrt.read_log) replay;
         }
       in
       let r = guarded (fun () -> Specrt.run ~opts cfg code ~input) in
@@ -952,7 +958,7 @@ let cmd_chaos_serve bench jobs =
   print_string (Serve.Chaoserve.render_table cells);
   if Serve.Chaoserve.count_failed cells > 0 then exit 1
 
-let cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retry
+let cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retries
     sync_sched =
   let programs = chaos_programs bench fuzz seed in
   if programs = [] then begin
@@ -963,7 +969,7 @@ let cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retry
     chaos_modes modes
     |> List.map (fun (m, cfg) -> (m, apply_budget max_cycles cfg))
   in
-  let pool = Harness.Jobs.create ?timeout ~retry ~jobs () in
+  let pool = Harness.Jobs.create ?timeout ~retries ~jobs () in
   with_errors (fun () ->
       if capacity then begin
         let cells =
@@ -1015,13 +1021,13 @@ let bench_matrix_programs () =
   in
   named @ Faults.Chaos.fuzz_programs ~count:2 ~seed:7
 
-let cmd_bench bench json out jobs matrix serve timeout retry =
+let cmd_bench bench json out jobs matrix serve timeout retries =
   let workloads = bench_workloads bench in
   if workloads = [] then begin
     prerr_endline "nothing to bench";
     exit 2
   end;
-  let pool = Harness.Jobs.create ?timeout ~retry ~jobs () in
+  let pool = Harness.Jobs.create ?timeout ~retries ~jobs () in
   let wbs =
     with_errors (fun () ->
         guarded (fun () ->
@@ -1129,8 +1135,8 @@ let cmd_bench bench json out jobs matrix serve timeout retry =
 (* serve: persistent compile service over JSONL requests               *)
 (* ------------------------------------------------------------------ *)
 
-let cmd_serve file jobs out (cache_dir, no_cache, queue, rate, deadline,
-                             retries, backoff, no_timing) =
+let cmd_serve file jobs out retries
+    (cache_dir, no_cache, queue, rate, deadline, backoff, no_timing) =
   let text =
     match file with
     | Some path -> read_file path
@@ -1277,16 +1283,11 @@ let capacity_arg =
 
 let timeout_arg =
   let doc =
-    "Bound each matrix job's wall time to $(docv) seconds; a job past the \
-     bound fails with Job_timeout naming its input index."
+    "Bound each matrix job's wall time to $(docv) seconds; a job past its \
+     whole --retries schedule fails with Retries_exhausted naming its \
+     input index (exit 9)."
   in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~doc ~docv:"SECONDS")
-
-let retry_arg =
-  Arg.(
-    value & flag
-    & info [ "retry" ]
-        ~doc:"With --timeout, grant one retry at double the bound.")
 
 let sig_buffer_arg =
   Arg.(
@@ -1346,18 +1347,6 @@ let engine_arg =
            cycle-stepped engine or the event-driven engine (default). Both \
            produce byte-identical results; $(b,ref) exists as the oracle \
            the differential suite locks the event core against.")
-
-let icode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "icode" ] ~docv:"on|off"
-        ~doc:
-          "Whether the event engine dispatches on the flat pre-resolved \
-           icode encoding (default, DESIGN §17) or interprets the boxed \
-           IR directly. Results are byte-identical; $(b,off) is the \
-           escape hatch and the baseline the icode speedup is measured \
-           against.")
 
 let tolerance_arg =
   Arg.(
@@ -1495,8 +1484,9 @@ let retries_arg =
     value & opt int 1
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Extra attempts per $(b,serve) request; attempt k runs under \
-           deadline*2^k after a backoff*2^(k-1) sleep.")
+          "Extra attempts per $(b,serve) request, or per matrix job under \
+           --timeout; attempt k runs under deadline*2^k (after a \
+           backoff*2^(k-1) sleep in $(b,serve)).")
 
 let backoff_arg =
   Arg.(
@@ -1516,12 +1506,10 @@ let no_timing_arg =
 (* The serve service knobs travel together, like the resource limits. *)
 let serve_opts_term =
   Term.(
-    const (fun cache_dir no_cache queue rate deadline retries backoff
-               no_timing ->
-        (cache_dir, no_cache, queue, rate, deadline, retries, backoff,
-         no_timing))
+    const (fun cache_dir no_cache queue rate deadline backoff no_timing ->
+        (cache_dir, no_cache, queue, rate, deadline, backoff, no_timing))
     $ cache_dir_arg $ no_cache_arg $ queue_arg $ rate_arg $ deadline_arg
-    $ retries_arg $ backoff_arg $ no_timing_arg)
+    $ backoff_arg $ no_timing_arg)
 
 (* The four DESIGN §12 resource knobs travel together. *)
 let limits_term =
@@ -1531,8 +1519,8 @@ let limits_term =
     $ sig_buffer_arg $ spec_lines_arg $ fwd_queue_arg $ overflow_policy_arg)
 
 let main action file file2 bench input threshold mode mutate modes fuzz seed
-    jobs max_cycles json out matrix capacity timeout retry limits sync_sched
-    engine icode tolerance validate serve serve_opts exec_flag exec_opts =
+    jobs max_cycles json out matrix capacity timeout retries limits sync_sched
+    engine tolerance validate serve serve_opts exec_flag exec_opts =
   match action with
   | `Dump_ir -> cmd_dump_ir file bench input
   | `Run -> cmd_run file bench input
@@ -1542,7 +1530,7 @@ let main action file file2 bench input threshold mode mutate modes fuzz seed
   | `Lint -> cmd_lint file bench input threshold mutate
   | `Simulate ->
     cmd_simulate file bench input threshold mode mutate max_cycles limits
-      sync_sched engine icode
+      sync_sched engine
   | `Exec -> cmd_exec file bench input threshold mode sync_sched exec_opts
   | `Analyze ->
     cmd_analyze file bench input threshold mode sync_sched json validate
@@ -1551,11 +1539,11 @@ let main action file file2 bench input threshold mode mutate modes fuzz seed
     if exec_flag then cmd_chaos_exec bench
     else if serve then cmd_chaos_serve bench jobs
     else
-      cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retry
+      cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retries
         sync_sched
-  | `Bench -> cmd_bench bench json out jobs matrix serve timeout retry
+  | `Bench -> cmd_bench bench json out jobs matrix serve timeout retries
   | `Benchdiff -> cmd_benchdiff file file2 tolerance
-  | `Serve -> cmd_serve file jobs out serve_opts
+  | `Serve -> cmd_serve file jobs out retries serve_opts
 
 let cmd =
   let doc = "mini-C TLS compiler and simulator driver" in
@@ -1565,8 +1553,8 @@ let cmd =
       const main $ action_arg $ file_arg $ file2_arg $ bench_arg $ input_arg
       $ threshold_arg $ mode_arg $ mutate_arg $ modes_arg $ fuzz_arg
       $ seed_arg $ jobs_arg $ max_cycles_arg $ json_arg $ out_arg
-      $ matrix_arg $ capacity_arg $ timeout_arg $ retry_arg $ limits_term
-      $ sync_sched_arg $ engine_arg $ icode_arg $ tolerance_arg
+      $ matrix_arg $ capacity_arg $ timeout_arg $ retries_arg $ limits_term
+      $ sync_sched_arg $ engine_arg $ tolerance_arg
       $ validate_arg $ serve_flag_arg $ serve_opts_term $ exec_flag_arg
       $ exec_opts_term)
 

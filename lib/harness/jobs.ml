@@ -20,7 +20,6 @@ type t = {
 
 type attempt = { at_timeout_s : float; at_backoff_s : float }
 
-exception Job_timeout of { index : int; timeout_s : float }
 exception Retries_exhausted of { index : int; attempts : attempt list }
 exception Pool_failure of { reason : string }
 
@@ -33,9 +32,10 @@ let serial_map f items = List.map f items
    [Atomic] slot while the worker polls with a deadline.  On expiry the
    monitor domain is abandoned — it keeps computing until it finishes on
    its own (all our jobs carry their own cycle budgets, so runaways are
-   bounded) — and the job's slot becomes [Job_timeout].  A failed spawn
-   (resource limits) degrades to running the job inline, without
-   enforcement, rather than losing the result. *)
+   bounded) — and the job moves on to its next attempt, or its slot
+   becomes [Retries_exhausted].  A failed spawn (resource limits)
+   degrades to running the job inline, without enforcement, rather than
+   losing the result. *)
 let poll_interval_s = 0.002
 
 let run_with_deadline ~timeout_s f x =
@@ -80,52 +80,25 @@ let attempt_plan ~timeout_s ~backoff_s ~retries =
           (if k = 0 then 0.0 else backoff_s *. Float.of_int (1 lsl (k - 1)));
       })
 
-let run_with_retries ~index ~timeout_s ~backoff_s ~retries
-    ?(sleep = Unix.sleepf) f x =
-  let plan = attempt_plan ~timeout_s ~backoff_s ~retries in
+(* A job under a timeout runs its [attempt_plan], without backoff
+   sleeps, until one attempt finishes: a transiently slow host (GC
+   pause, noisy neighbour) gets another chance at a larger bound, while
+   a genuinely wedged job exhausts the plan. *)
+let run_with_retries ~index ~timeout_s ~retries f x =
+  let plan = attempt_plan ~timeout_s ~backoff_s:0.0 ~retries in
   let rec go = function
     | [] ->
       Error
         ( Retries_exhausted { index; attempts = plan },
           Printexc.get_callstack 0 )
-    | a :: rest ->
-      if a.at_backoff_s > 0.0 then sleep a.at_backoff_s;
-      (match run_with_deadline ~timeout_s:a.at_timeout_s f x with
+    | a :: rest -> (
+      match run_with_deadline ~timeout_s:a.at_timeout_s f x with
       | Some outcome -> outcome
       | None -> go rest)
   in
   go plan
 
-(* The retry policy of one job.  [Single_retry] is the PR4 behavior
-   (opt-in one retry at double the bound, [Job_timeout] on failure) and
-   stays the default so existing callers see identical semantics;
-   [Backoff] is the generalized schedule raising [Retries_exhausted]
-   with the full attempt history. *)
-type retry_policy = Single_retry of bool | Backoff of { retries : int; backoff_s : float }
-
-let run_bounded ~index ~timeout_s ~policy f x =
-  match policy with
-  | Backoff { retries; backoff_s } ->
-    run_with_retries ~index ~timeout_s ~backoff_s ~retries f x
-  | Single_retry retry -> begin
-    match run_with_deadline ~timeout_s f x with
-    | Some outcome -> outcome
-    | None -> begin
-      (* Opt-in single retry at double the bound: a transiently slow host
-         (GC pause, noisy neighbour) gets a second chance; a genuinely
-         wedged job times out again. *)
-      let retried =
-        if retry then run_with_deadline ~timeout_s:(2.0 *. timeout_s) f x
-        else None
-      in
-      match retried with
-      | Some outcome -> outcome
-      | None ->
-        Error (Job_timeout { index; timeout_s }, Printexc.get_callstack 0)
-    end
-  end
-
-let parallel_map ?timeout ?worker_fault ~policy ~jobs f items =
+let parallel_map ?timeout ?worker_fault ~retries ~jobs f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let slots = Array.make n None in
@@ -134,7 +107,7 @@ let parallel_map ?timeout ?worker_fault ~policy ~jobs f items =
     match timeout with
     | None -> (
       try Ok (f arr.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()))
-    | Some timeout_s -> run_bounded ~index:i ~timeout_s ~policy f arr.(i)
+    | Some timeout_s -> run_with_retries ~index:i ~timeout_s ~retries f arr.(i)
   in
   let rec worker () =
     let i = Atomic.fetch_and_add next 1 in
@@ -196,21 +169,16 @@ let parallel_map ?timeout ?worker_fault ~policy ~jobs f items =
 
 let serial = { jobs = 1; map = serial_map }
 
-let create ?timeout ?(retry = false) ?retries ?(backoff = 0.0) ?worker_fault
-    ~jobs () =
+let create ?timeout ?(retries = 0) ?worker_fault ~jobs () =
   if jobs <= 1 && timeout = None && worker_fault = None then serial
   else
-    let policy =
-      match retries with
-      | Some r -> Backoff { retries = max 0 r; backoff_s = backoff }
-      | None -> Single_retry retry
-    in
+    let retries = max 0 retries in
     let jobs = max 1 jobs in
     {
       jobs;
       map =
         (fun f items ->
-          parallel_map ?timeout ?worker_fault ~policy ~jobs f items);
+          parallel_map ?timeout ?worker_fault ~retries ~jobs f items);
     }
 
 let map ~jobs f items = (create ~jobs ()).map f items

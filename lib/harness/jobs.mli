@@ -30,15 +30,11 @@ type t = {
     and the backoff slept before it (0 for the first attempt). *)
 type attempt = { at_timeout_s : float; at_backoff_s : float }
 
-(** A job exceeded its per-job timeout (and its retry, if enabled).
-    [index] is the job's position in the input list, so a failed matrix
-    run names the exact cell that wedged. *)
-exception Job_timeout of { index : int; timeout_s : float }
-
-(** A job exhausted its [?retries] budget.  [attempts] is the full
-    deterministic schedule that was tried (oldest first), so a failed
-    matrix run reports exactly which deadlines and backoffs were
-    granted. *)
+(** A job exceeded its per-job timeout on every attempt of its
+    [?retries] budget.  [index] is the job's position in the input list,
+    so a failed matrix run names the exact cell that wedged; [attempts]
+    is the full deterministic schedule that was tried (oldest first), so
+    it also reports exactly which deadlines were granted. *)
 exception Retries_exhausted of { index : int; attempts : attempt list }
 
 (** The pool's own invariant broke: a result slot could not be filled
@@ -56,22 +52,15 @@ val serial : t
 
     [?timeout] bounds each job's wall time in seconds.  A job past its
     deadline is abandoned (OCaml domains cannot be killed — the stray
-    computation finishes on its own cycle budget) and its outcome becomes
-    {!Job_timeout}; the rest of the matrix still completes, in input
-    order, and the lowest-index error is the one re-raised.  A timed-out
-    job surfaces within the timeout plus one poll interval (~2ms), i.e.
-    well within 2x the bound.  [?retry] (default false) grants one
-    retry at double the timeout before giving up.
-
-    [?retries] replaces the single-retry policy with a deterministic
-    exponential schedule: attempt [k] (0-based, [retries + 1] attempts
-    total) runs under a deadline of [timeout * 2^k] after sleeping
-    [backoff * 2^(k-1)] ([?backoff] default 0 — no sleep, and never one
-    before the first attempt).  There is no jitter, so the schedule is
-    reproducible.  Exhaustion raises {!Retries_exhausted} carrying the
-    attempted schedule instead of {!Job_timeout}.  When [?retries] is
-    given, [?retry] is ignored; omitting both keeps the pre-existing
-    behavior exactly.
+    computation finishes on its own cycle budget) and retried under the
+    deterministic schedule [attempt_plan ~timeout_s:timeout ~backoff_s:0
+    ~retries]: attempt [k] (0-based, [retries + 1] attempts total, no
+    sleep between them) runs under a deadline of [timeout * 2^k].
+    [?retries] defaults to 0, a single attempt.  When every attempt
+    times out the job's outcome becomes {!Retries_exhausted}; the rest
+    of the matrix still completes, in input order, and the lowest-index
+    error is the one re-raised.  A timed-out attempt surfaces within its
+    deadline plus one poll interval (~2ms).
 
     Worker-death contract: a domain that dies from an exception raised
     outside a job (the jobs' own exceptions are slotted as results)
@@ -85,17 +74,18 @@ val serial : t
     that worker the way an unexpected infrastructure failure would. *)
 val create :
   ?timeout:float ->
-  ?retry:bool ->
   ?retries:int ->
-  ?backoff:float ->
   ?worker_fault:(int -> unit) ->
   jobs:int ->
   unit ->
   t
 
 (** [attempt_plan ~timeout_s ~backoff_s ~retries] is the deterministic
-    schedule [create ~retries] would run, exposed so callers (the serve
-    layer, tests) can reason about it without running anything. *)
+    retry schedule: attempt [k] runs under [timeout_s * 2^k] after
+    sleeping [backoff_s * 2^(k-1)] (never before the first attempt).
+    [create ~retries] runs it with [~backoff_s:0]; the serve layer runs
+    it with its own backoff.  Exposed so callers and tests can reason
+    about it without running anything. *)
 val attempt_plan :
   timeout_s:float -> backoff_s:float -> retries:int -> attempt list
 

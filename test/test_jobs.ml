@@ -1,8 +1,8 @@
 (* Per-job timeouts in the Harness.Jobs pool (DESIGN §12 satellite):
-   a wedged job must surface as Job_timeout naming its input index —
-   within roughly the bound, never a hang — while every other job still
-   completes and results keep input order.  The optional retry gets one
-   second attempt at double the bound. *)
+   a wedged job must surface as Retries_exhausted naming its input index
+   — within roughly the bound, never a hang — while every other job
+   still completes and results keep input order.  [?retries] grants
+   further attempts at doubling bounds. *)
 
 let check_int = Alcotest.(check int)
 
@@ -18,8 +18,9 @@ let spin s x =
 
 let timeout_fires () =
   (* Job 2 of five spins far past the 50ms bound; the rest are instant.
-     The pool must raise Job_timeout for index 2 (the lowest-index
-     error), after the other four completed. *)
+     With no retries the pool must raise Retries_exhausted for index 2
+     (the lowest-index error) after a single attempt, once the other
+     four completed. *)
   let pool = Harness.Jobs.create ~timeout:0.05 ~jobs:2 () in
   let completed = Atomic.make 0 in
   let job x =
@@ -32,10 +33,12 @@ let timeout_fires () =
   in
   let t0 = Unix.gettimeofday () in
   (match pool.Harness.Jobs.map job [ 0; 1; 2; 3; 4 ] with
-  | _ -> Alcotest.fail "expected Job_timeout"
-  | exception Harness.Jobs.Job_timeout { index; timeout_s } ->
+  | _ -> Alcotest.fail "expected Retries_exhausted"
+  | exception Harness.Jobs.Retries_exhausted { index; attempts } ->
     check_int "timed-out job is named by input index" 2 index;
-    Alcotest.(check (float 1e-9)) "carries the configured bound" 0.05 timeout_s);
+    Alcotest.(check (list (float 1e-9)))
+      "one attempt, under the configured bound" [ 0.05 ]
+      (List.map (fun a -> a.Harness.Jobs.at_timeout_s) attempts));
   let elapsed = Unix.gettimeofday () -. t0 in
   (* Surfacing must be bounded: well before the 2s spin finishes.  (The
      abandoned domain keeps spinning in the background; we only assert
@@ -56,7 +59,7 @@ let retry_succeeds () =
     end;
     x + 100
   in
-  let pool = Harness.Jobs.create ~timeout:0.1 ~retry:true ~jobs:2 () in
+  let pool = Harness.Jobs.create ~timeout:0.1 ~retries:1 ~jobs:2 () in
   Alcotest.(check (list int))
     "retry rescues the slow job, order preserved" [ 100; 101; 102 ]
     (pool.Harness.Jobs.map job [ 0; 1; 2 ]);
@@ -64,7 +67,7 @@ let retry_succeeds () =
 
 let retry_exhausted () =
   (* Both the attempt and its doubled-budget retry spin past the bound:
-     Job_timeout, and exactly two attempts were made. *)
+     Retries_exhausted, and exactly two attempts were made. *)
   let attempts = Atomic.make 0 in
   let job x =
     if x = 0 then begin
@@ -73,10 +76,10 @@ let retry_exhausted () =
     end;
     x
   in
-  let pool = Harness.Jobs.create ~timeout:0.05 ~retry:true ~jobs:1 () in
+  let pool = Harness.Jobs.create ~timeout:0.05 ~retries:1 ~jobs:1 () in
   (match pool.Harness.Jobs.map job [ 0; 1 ] with
-  | _ -> Alcotest.fail "expected Job_timeout"
-  | exception Harness.Jobs.Job_timeout { index; _ } ->
+  | _ -> Alcotest.fail "expected Retries_exhausted"
+  | exception Harness.Jobs.Retries_exhausted { index; _ } ->
     check_int "names the wedged index" 0 index);
   (* The second attempt may still be starting when the error surfaces;
      give the monitor domain a beat before counting. *)
@@ -109,7 +112,7 @@ let attempt_plan_schedule () =
 let retries_exhausted_carries_history () =
   (* Every attempt spins past its (growing) deadline: the pool must give
      up with Retries_exhausted naming the index and the full schedule it
-     granted — not the legacy Job_timeout. *)
+     granted. *)
   let attempts_made = Atomic.make 0 in
   let job x =
     if x = 1 then begin
@@ -118,9 +121,7 @@ let retries_exhausted_carries_history () =
     end;
     x
   in
-  let pool =
-    Harness.Jobs.create ~timeout:0.04 ~retries:2 ~retry:true ~jobs:1 ()
-  in
+  let pool = Harness.Jobs.create ~timeout:0.04 ~retries:2 ~jobs:1 () in
   (match pool.Harness.Jobs.map job [ 0; 1; 2 ] with
   | _ -> Alcotest.fail "expected Retries_exhausted"
   | exception Harness.Jobs.Retries_exhausted { index; attempts } ->

@@ -14,10 +14,7 @@
    simulator setups (unbounded C mode, finite-hardware bounds, sync
    scheduler), the PR2 fault catalog on the chain program, and a
    260-program Proggen sweep (200 unbounded + 60 under finite-hardware
-   bounds).  Every differential run is three-way
-   since PR10: the reference engine against the event engine with the
-   flat icode encoding on AND off, so an icode lowering bug cannot hide
-   behind a matching bug in the boxed dispatcher (or vice versa). *)
+   bounds). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -134,18 +131,8 @@ let check_outcomes label a b =
 
 let diff_run label cfg code input =
   let ra = run_engine Tls.Config.Engine_ref cfg code input in
-  let rb =
-    run_engine Tls.Config.Engine_event
-      { cfg with Tls.Config.icode = true }
-      code input
-  in
-  check_outcomes (label ^ "/icode") ra rb;
-  let rc =
-    run_engine Tls.Config.Engine_event
-      { cfg with Tls.Config.icode = false }
-      code input
-  in
-  check_outcomes (label ^ "/no-icode") ra rc
+  let rb = run_engine Tls.Config.Engine_event cfg code input in
+  check_outcomes label ra rb
 
 (* ------------------------------------------------------------------ *)
 (* Workload matrix: 15 workloads x {unbounded, bounded, sync-sched}    *)
@@ -324,12 +311,7 @@ let proggen_equivalence =
       let rb =
         run_engine Tls.Config.Engine_event Tls.Config.c_mode code input
       in
-      let rc =
-        run_engine Tls.Config.Engine_event
-          { Tls.Config.c_mode with Tls.Config.icode = false }
-          code input
-      in
-      outcomes_agree ra rb && outcomes_agree ra rc)
+      outcomes_agree ra rb)
 
 (* And under the finite-hardware bounds, where overflow squashes,
    signal drops and backpressure all engage. *)
@@ -343,12 +325,7 @@ let proggen_equivalence_bounded =
       let code = compiled.Tlscore.Pipeline.code in
       let ra = run_engine Tls.Config.Engine_ref bounded_cfg code input in
       let rb = run_engine Tls.Config.Engine_event bounded_cfg code input in
-      let rc =
-        run_engine Tls.Config.Engine_event
-          { bounded_cfg with Tls.Config.icode = false }
-          code input
-      in
-      outcomes_agree ra rb && outcomes_agree ra rc)
+      outcomes_agree ra rb)
 
 (* ------------------------------------------------------------------ *)
 
