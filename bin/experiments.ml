@@ -6,68 +6,42 @@
      experiments --bench parser --bench gap fig10   # selected benchmarks
      experiments --jobs 4        # domain-parallel cells, same bytes *)
 
-let all_experiment_names =
+type experiment = ?pool:Harness.Jobs.t -> Harness.Context.t list -> string
+
+(* Every experiment by name, in the order a full run prints them; only
+   table1 needs no per-benchmark context. *)
+let experiments : (string * experiment) list =
+  let open Harness.Figures in
   [
-    "table1"; "fig2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-    "fig12"; "table2"; "prose"; "ablations"; "extensions";
+    ("table1", fun ?pool:_ _ -> table1 ());
+    ("fig2", fig2); ("fig6", fig6); ("fig7", fig7); ("fig8", fig8);
+    ("fig9", fig9); ("fig10", fig10); ("fig11", fig11); ("fig12", fig12);
+    ("table2", table2); ("prose", prose_checks); ("ablations", ablations);
+    ("extensions", extensions);
   ]
 
-let run_experiments jobs benches experiments =
+let run_experiments jobs benches selected =
   let pool = Harness.Jobs.create ~jobs () in
-  let workloads =
-    match benches with
-    | [] -> Workloads.Registry.all
-    | names ->
-      List.filter_map
-        (fun n ->
-          match Workloads.Registry.find n with
-          | Some w -> Some w
-          | None ->
-            Printf.eprintf "unknown benchmark %s (have: %s)\n" n
-              (String.concat ", " Workloads.Registry.names);
-            exit 2)
-        names
-  in
-  let experiments = if experiments = [] then all_experiment_names else experiments in
-  let needs_ctx =
-    List.exists (fun e -> not (String.equal e "table1")) experiments
+  let workloads = if benches = [] then Workloads.Registry.all else benches in
+  let selected =
+    if selected = [] then experiments
+    else List.map (fun name -> (name, List.assoc name experiments)) selected
   in
   let ctxs =
-    if needs_ctx then begin
+    if List.exists (fun (name, _) -> name <> "table1") selected then
       pool.Harness.Jobs.map
         (fun (w : Workloads.Workload.t) ->
           Printf.eprintf "[setup] %s\n%!" w.Workloads.Workload.name;
           Harness.Context.make w)
         workloads
-    end
     else []
   in
   List.iter
-    (fun name ->
+    (fun (name, (run : experiment)) ->
       Printf.eprintf "[run] %s\n%!" name;
-      let output =
-        match name with
-        | "table1" -> Harness.Figures.table1 ()
-        | "fig2" -> Harness.Figures.fig2 ~pool ctxs
-        | "fig6" -> Harness.Figures.fig6 ~pool ctxs
-        | "fig7" -> Harness.Figures.fig7 ~pool ctxs
-        | "fig8" -> Harness.Figures.fig8 ~pool ctxs
-        | "fig9" -> Harness.Figures.fig9 ~pool ctxs
-        | "fig10" -> Harness.Figures.fig10 ~pool ctxs
-        | "fig11" -> Harness.Figures.fig11 ~pool ctxs
-        | "fig12" -> Harness.Figures.fig12 ~pool ctxs
-        | "table2" -> Harness.Figures.table2 ~pool ctxs
-        | "prose" -> Harness.Figures.prose_checks ~pool ctxs
-        | "ablations" -> Harness.Figures.ablations ~pool ctxs
-        | "extensions" -> Harness.Figures.extensions ~pool ctxs
-        | other ->
-          Printf.eprintf "unknown experiment %s (have: %s)\n" other
-            (String.concat ", " all_experiment_names);
-          exit 2
-      in
-      print_endline output;
+      print_endline (run ~pool ctxs);
       print_newline ())
-    experiments
+    selected
 
 open Cmdliner
 
@@ -81,19 +55,29 @@ let jobs =
   Arg.(
     value & opt (Cli.int_at_least 1) 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* Names are checked while parsing, exactly (no abbreviations): a bad one
+   exits 2 before any setup. *)
 let benches =
   let doc = "Restrict to one benchmark (repeatable)." in
-  Arg.(value & opt_all string [] & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
+  let workload =
+    Cli.exact
+      (List.map
+         (fun (w : Workloads.Workload.t) -> (w.name, w))
+         Workloads.Registry.all)
+  in
+  Arg.(value & opt_all workload [] & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
 
-let experiments =
+let selected =
   let doc = "Experiments to run (default: all)." in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  let names = List.map (fun (name, _) -> (name, name)) experiments in
+  Arg.(
+    value & pos_all (Cli.exact names) [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
   let doc = "regenerate the paper's tables and figures" in
   Cmd.v
     (Cmd.info "experiments" ~doc)
-    Term.(const run_experiments $ jobs $ benches $ experiments)
+    Term.(const run_experiments $ jobs $ benches $ selected)
 
 (* A command-line error exits 2 with its one-line message (Cli.eval). *)
 let () =

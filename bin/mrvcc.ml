@@ -24,25 +24,20 @@
      mrvcc exec --bench go --mode U --record r.jsonl   # record a racy run
      mrvcc exec --bench go --mode U --replay r.jsonl   # reproduce it serially
      mrvcc exec --bench mcf --inject crash:1     # runtime fault injection
-     mrvcc chaos --exec --bench mcf,parser       # runtime-fault matrix
+     mrvcc chaos exec --bench mcf,parser         # runtime-fault matrix
      mrvcc serve requests.jsonl                  # compile service, JSONL in/out
      mrvcc serve requests.jsonl --cache-dir .cache --deadline 5 --retries 2
-     mrvcc chaos --serve --bench twolf,ijpeg     # service-layer fault matrix
+     mrvcc chaos serve --bench twolf,ijpeg       # service-layer fault matrix
 
-   `--jobs N` runs independent matrix cells on N domains; the rendered
-   output is byte-identical to a serial run.  `--timeout S` bounds each
-   matrix job's wall time, with `--retries N` (default 1) extra attempts
-   at doubling bounds.  `--max-cycles N` tightens the simulator cycle
-   budget uniformly across every cell.  `simulate` takes the
-   finite-resource knobs `--sig-buffer N`, `--spec-lines N` (with
-   `--overflow-policy stall|squash`) and `--fwd-queue N` (DESIGN §12),
-   plus `--engine ref|event` to pick the simulator core (DESIGN §15;
-   both engines are byte-identical, `event` is the default and the fast
-   one).  Timing lives in mrvbench (`bash mrvbench/run.sh`); the
-   simulated counts are pinned by `dune build @counters`.
+   Each command takes only the flags it reads, documented by
+   `mrvcc COMMAND --help`.  Timing lives in mrvbench (`bash
+   mrvbench/run.sh`); the simulated counts are pinned by `dune build
+   @counters`.
 
    Exit codes: 0 success; 1 findings / failed cells / output mismatch;
-   2 usage error (including an unknown flag or an out-of-range number);
+   2 usage error (an unknown command, a flag the command does not take
+   or a bad flag value, all caught while parsing; an unreadable FILE; a
+   malformed serve request document);
    3 simulator deadlock; 4 simulator stuck (watchdog or protocol
    check); 5 cycle/step budget exhausted; 6 malformed sequential
    execution (reserved: sequential hooks cannot block today, see README);
@@ -65,42 +60,24 @@ let read_input read path =
 let read_file =
   read_input (fun path -> In_channel.with_open_bin path In_channel.input_all)
 
-let parse_input_list s =
-  if String.equal s "" then [||]
-  else
-    try
-      String.split_on_char ',' s
-      |> List.map (fun x -> int_of_string (String.trim x))
-      |> Array.of_list
-    with Failure _ ->
-      Printf.eprintf "bad --in %s (want comma-separated integers)\n" s;
-      exit 2
-
-(* Resolve source and input from either a file or a bundled benchmark. *)
-let resolve_program file bench input =
-  match bench, file with
-  | Some name, _ -> begin
-    match Workloads.Registry.find name with
-    | Some w ->
-      let input =
-        match input with
-        | Some s -> parse_input_list s
-        | None -> w.Workloads.Workload.ref_input
-      in
-      (w.Workloads.Workload.source, input)
-    | None ->
-      Printf.eprintf "unknown benchmark %s (have: %s)\n" name
-        (String.concat ", " Workloads.Registry.names);
-      exit 2
-  end
-  | None, Some path ->
-    let input =
-      match input with Some s -> parse_input_list s | None -> [||]
-    in
-    (read_file path, input)
+(* Resolve source and input from either a file or a bundled benchmark;
+   --in replaces the benchmark's reference input (a file's default input
+   is empty). *)
+let resolve_program file (bench : Workloads.Workload.t option) input =
+  let input = Option.map Array.of_list input in
+  match (bench, file) with
+  | Some w, _ -> (w.source, Option.value input ~default:w.ref_input)
+  | None, Some path -> (read_file path, Option.value input ~default:[||])
   | None, None ->
     prerr_endline "need a source file or --bench";
     exit 2
+
+(* How lint and analyze name the program in their reports. *)
+let program_label file (bench : Workloads.Workload.t option) =
+  match (bench, file) with
+  | Some w, _ -> w.name
+  | None, Some path -> path
+  | None, None -> "program"
 
 let with_errors f =
   try f () with
@@ -168,15 +145,6 @@ let guarded f =
       instance index aborts max_aborts;
     exit 11
 
-(* Resolve a --mutate argument to an IR fault kind. *)
-let mutation_of_name name =
-  match List.assoc_opt name Faults.Irfault.kinds with
-  | Some k -> k
-  | None ->
-    Printf.eprintf "unknown mutation %s (have: %s)\n" name
-      (String.concat ", " (List.map fst Faults.Irfault.kinds));
-    exit 2
-
 let apply_mutation kind prog =
   match Faults.Irfault.apply kind prog with
   | Some applied -> applied.Faults.Irfault.prog
@@ -185,8 +153,8 @@ let apply_mutation kind prog =
       (Faults.Irfault.kind_name kind);
     exit 2
 
-let cmd_dump_ir file bench input =
-  let source, _ = resolve_program file bench input in
+let cmd_dump_ir file bench =
+  let source, _ = resolve_program file bench None in
   with_errors (fun () ->
       print_string (Ir.Pp.program (Ir.Lower.compile_source source)))
 
@@ -308,10 +276,10 @@ let cmd_compile file bench input threshold sync_sched =
 
 (* Compile with memory sync on [input] and report synclint findings.
    Returns the finding count. *)
-let lint_one ?mutate ~label source input threshold =
+let lint_one ?mutate ~sync_sched ~label source input threshold =
   with_errors (fun () ->
       let compiled =
-        Tlscore.Pipeline.compile ~lint:(mutate = None) ~source
+        Tlscore.Pipeline.compile ~lint:(mutate = None) ~sync_sched ~source
           ~profile_input:input
           ~memory_sync:
             (Tlscore.Pipeline.Profiled { dep_input = input; threshold })
@@ -348,45 +316,29 @@ let lint_one ?mutate ~label source input threshold =
         Printf.printf "%s: clean (%d region%s)\n" label n
           (if n = 1 then "" else "s")
       end;
+      if sync_sched then
+        Printf.printf "%s: sync scheduler: %s\n" label
+          (Analysis.Syncsched.to_string compiled.Tlscore.Pipeline.sched_stats);
       List.length findings)
 
-let cmd_lint file bench input threshold mutate =
-  let mutate = Option.map mutation_of_name mutate in
+let cmd_lint file bench input threshold mutate sync_sched =
   let total =
     match (bench, file) with
     | None, None ->
       (* No program named: lint every bundled benchmark on its reference
          input. *)
       List.fold_left
-        (fun acc name ->
-          match Workloads.Registry.find name with
-          | Some w ->
-            acc
-            + lint_one ?mutate ~label:name w.Workloads.Workload.source
-                w.Workloads.Workload.ref_input threshold
-          | None -> acc)
-        0 Workloads.Registry.names
+        (fun acc (w : Workloads.Workload.t) ->
+          acc
+          + lint_one ?mutate ~sync_sched ~label:w.name w.source w.ref_input
+              threshold)
+        0 Workloads.Registry.all
     | _ ->
       let source, input = resolve_program file bench input in
-      let label =
-        match (bench, file) with
-        | Some b, _ -> b
-        | _, Some path -> path
-        | None, None -> "program"
-      in
-      lint_one ?mutate ~label source input threshold
+      lint_one ?mutate ~sync_sched ~label:(program_label file bench) source
+        input threshold
   in
   if total > 0 then exit 1
-
-let config_of_mode = function
-  | "U" -> Tls.Config.u_mode
-  | "C" -> Tls.Config.c_mode
-  | "H" -> Tls.Config.h_mode
-  | "P" -> Tls.Config.p_mode
-  | "B" -> Tls.Config.b_mode
-  | m ->
-    Printf.eprintf "unknown mode %s (have U, C, H, P, B)\n" m;
-    exit 2
 
 (* Uniform cycle-budget override (--max-cycles): one knob for every
    simulation a command runs, so chaos sweeps can be bounded. *)
@@ -395,30 +347,18 @@ let apply_budget max_cycles cfg =
   | None -> cfg
   | Some m -> { cfg with Tls.Config.max_cycles = m }
 
-(* The DESIGN §12 finite-resource knobs (--sig-buffer, --spec-lines,
-   --fwd-queue, --overflow-policy).  Unset knobs keep the unbounded
-   defaults, so plain `simulate` output is unchanged. *)
-let apply_limits (sig_buffer, spec_lines, fwd_queue, policy) cfg =
-  {
-    cfg with
-    Tls.Config.overflow_policy = policy;
-    sig_buffer_entries =
-      Option.value sig_buffer ~default:cfg.Tls.Config.sig_buffer_entries;
-    spec_lines_per_epoch =
-      Option.value spec_lines ~default:cfg.Tls.Config.spec_lines_per_epoch;
-    fwd_queue_depth =
-      Option.value fwd_queue ~default:cfg.Tls.Config.fwd_queue_depth;
-  }
+(* Only a mode that honors compiler synchronization (C, B) runs the
+   memory-sync pass. *)
+let memory_sync (cfg : Tls.Config.t) ~input ~threshold =
+  if cfg.stall_compiler_sync then
+    Tlscore.Pipeline.Profiled { dep_input = input; threshold }
+  else Tlscore.Pipeline.No_memory_sync
 
-let cmd_simulate file bench input threshold mode mutate max_cycles limits
-    sync_sched engine =
+let cmd_simulate file bench input threshold (mode, cfg) mutate max_cycles
+    sig_buffer spec_lines fwd_queue overflow_policy sync_sched engine =
   let source, input = resolve_program file bench input in
   with_errors (fun () ->
-      let memory_sync =
-        match mode with
-        | "U" | "H" | "P" -> Tlscore.Pipeline.No_memory_sync
-        | _ -> Tlscore.Pipeline.Profiled { dep_input = input; threshold }
-      in
+      let memory_sync = memory_sync cfg ~input ~threshold in
       let compiled =
         Tlscore.Pipeline.compile ~sync_sched ~source ~profile_input:input
           ~memory_sync ()
@@ -426,23 +366,27 @@ let cmd_simulate file bench input threshold mode mutate max_cycles limits
       let code =
         match mutate with
         | None -> compiled.Tlscore.Pipeline.code
-        | Some name ->
-          let kind = mutation_of_name name in
+        | Some kind ->
           Printf.printf "injected IR fault: %s\n" (Faults.Irfault.kind_name kind);
           Runtime.Code.of_prog
             (apply_mutation kind compiled.Tlscore.Pipeline.prog)
       in
+      (* The DESIGN §12 finite-resource knobs: unset ones keep the
+         unbounded defaults, so plain `simulate` output is unchanged. *)
+      let bounded =
+        sig_buffer <> None || spec_lines <> None || fwd_queue <> None
+      in
       let cfg =
         {
-          (apply_limits limits (apply_budget max_cycles (config_of_mode mode)))
-          with
+          (apply_budget max_cycles cfg) with
           Tls.Config.engine;
+          overflow_policy;
+          sig_buffer_entries =
+            Option.value sig_buffer ~default:cfg.sig_buffer_entries;
+          spec_lines_per_epoch =
+            Option.value spec_lines ~default:cfg.spec_lines_per_epoch;
+          fwd_queue_depth = Option.value fwd_queue ~default:cfg.fwd_queue_depth;
         }
-      in
-      let bounded =
-        match limits with
-        | None, None, None, _ -> false
-        | _ -> true
       in
       let r = guarded (fun () -> Tls.Sim.run cfg code ~input ()) in
       let reference = Tlscore.Pipeline.original ~source in
@@ -492,51 +436,16 @@ let cmd_simulate file bench input threshold mode mutate max_cycles limits
 (* exec: real speculative execution on domains (DESIGN §16)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Runtime-fault specs, e.g. delay-commit:0:5000, yield:1:4,
-   drop-wakeup:2:0, crash:1, crash:1:persistent.  The first number is
-   always the epoch index targeted (within the first region instance). *)
-let parse_exec_fault s =
-  let usage () =
-    Printf.eprintf
-      "bad --inject %s (want delay-commit:EPOCH:MS | yield:EPOCH:EVERY | \
-       drop-wakeup:EPOCH:CHANNEL | crash:EPOCH[:persistent])\n"
-      s;
-    exit 2
-  in
-  match String.split_on_char ':' s with
-  | [ "delay-commit"; e; ms ] -> (
-    try Specrt.Delay_commit { epoch = int_of_string e; ms = int_of_string ms }
-    with Failure _ -> usage ())
-  | [ "yield"; e; n ] -> (
-    try Specrt.Yield_steps { epoch = int_of_string e; every = int_of_string n }
-    with Failure _ -> usage ())
-  | [ "drop-wakeup"; e; ch ] -> (
-    try
-      Specrt.Drop_wakeup { epoch = int_of_string e; channel = int_of_string ch }
-    with Failure _ -> usage ())
-  | [ "crash"; e ] -> (
-    try Specrt.Crash_epoch { epoch = int_of_string e; persistent = false }
-    with Failure _ -> usage ())
-  | [ "crash"; e; "persistent" ] -> (
-    try Specrt.Crash_epoch { epoch = int_of_string e; persistent = true }
-    with Failure _ -> usage ())
-  | _ -> usage ()
-
-let cmd_exec file bench input threshold mode sync_sched
-    (domains, watchdog_ms, max_aborts, record, replay, injects) =
+let cmd_exec file bench input threshold (mode, cfg) sync_sched domains
+    watchdog_ms max_aborts record replay injects =
   let source, input = resolve_program file bench input in
   with_errors (fun () ->
-      let memory_sync =
-        match mode with
-        | "U" | "H" | "P" -> Tlscore.Pipeline.No_memory_sync
-        | _ -> Tlscore.Pipeline.Profiled { dep_input = input; threshold }
-      in
       let compiled =
         Tlscore.Pipeline.compile ~sync_sched ~source ~profile_input:input
-          ~memory_sync ()
+          ~memory_sync:(memory_sync cfg ~input ~threshold)
+          ()
       in
       let code = compiled.Tlscore.Pipeline.code in
-      let cfg = config_of_mode mode in
       let base = Specrt.default_opts cfg in
       let opts =
         {
@@ -544,7 +453,7 @@ let cmd_exec file bench input threshold mode sync_sched
           Specrt.domains = Option.value domains ~default:base.Specrt.domains;
           watchdog_ms;
           max_aborts;
-          faults = List.map parse_exec_fault injects;
+          faults = List.map snd injects;
           replay = Option.map (read_input Specrt.read_log) replay;
         }
       in
@@ -602,8 +511,8 @@ let params_of_config (cfg : Tls.Config.t) =
 let rel_err ~predicted ~measured =
   Float.abs (predicted -. measured) /. Float.max 1.0 measured
 
-let cmd_analyze file bench input threshold mode sync_sched json validate
-    max_cycles =
+let cmd_analyze file bench input threshold (mode, cfg) sync_sched json
+    validate max_cycles =
   let source, input = resolve_program file bench input in
   with_errors (fun () ->
       let compiled =
@@ -618,7 +527,7 @@ let cmd_analyze file bench input threshold mode sync_sched json validate
          identity and signals no-ops under sequential semantics, so the
          sync instructions don't perturb the profile). *)
       let profile = Profiler.Runner.run prog ~input ~watch:[] in
-      let cfg = apply_budget max_cycles (config_of_mode mode) in
+      let cfg = apply_budget max_cycles cfg in
       let params = params_of_config cfg in
       let costs = Analysis.Staticcost.analyze params profile prog in
       (* Optional differential validation: run the same artifact through
@@ -747,15 +656,9 @@ let cmd_analyze file bench input threshold mode sync_sched json validate
         if missed <> [] then exit 1
       end
       else begin
-        let label =
-          match (bench, file) with
-          | Some b, _ -> b
-          | _, Some path -> path
-          | None, None -> "program"
-        in
         Printf.printf
           "%s: static cost model (mode %s: issue %d, forward %d, spawn %d)\n"
-          label mode
+          (program_label file bench) mode
           cfg.Tls.Config.issue_width cfg.Tls.Config.forward_latency
           cfg.Tls.Config.spawn_overhead;
         if sync_sched then
@@ -836,73 +739,27 @@ let program_of_workload (w : Workloads.Workload.t) =
     p_select_main = false;
   }
 
-let chaos_programs bench fuzz seed =
-  let named =
-    match bench with
-    | None -> []
-    | Some "all" ->
-      List.filter_map Workloads.Registry.find Workloads.Registry.names
-      |> List.map program_of_workload
-    | Some names ->
-      String.split_on_char ',' names
-      |> List.map (fun name ->
-             match Workloads.Registry.find (String.trim name) with
-             | Some w -> program_of_workload w
-             | None ->
-               Printf.eprintf "unknown benchmark %s (have: all, %s)\n" name
-                 (String.concat ", " Workloads.Registry.names);
-               exit 2)
-  in
-  named @ Faults.Chaos.fuzz_programs ~count:fuzz ~seed
-
-let chaos_modes s =
-  String.split_on_char ',' s
-  |> List.map (fun m ->
-         let m = String.trim m in
-         (m, config_of_mode m))
-
-(* Serve-layer chaos works through the service request path, so it runs
-   over bundled benchmark names (fuzz programs would need the
-   force-select-main hook the request format deliberately lacks). *)
-let serve_chaos_names bench =
-  match bench with
-  | None ->
-    prerr_endline "serve chaos needs --bench all or --bench NAME[,NAME...]";
-    exit 2
-  | Some "all" -> Workloads.Registry.names
-  | Some names ->
-    String.split_on_char ',' names
-    |> List.map (fun name ->
-           let name = String.trim name in
-           match Workloads.Registry.find name with
-           | Some _ -> name
-           | None ->
-             Printf.eprintf "unknown benchmark %s (have: all, %s)\n" name
-               (String.concat ", " Workloads.Registry.names);
-             exit 2)
-
 (* Runtime-layer chaos: the speculative executor's fault catalog.  Runs
    serially (each cell already spawns its own worker domains) over
-   bundled benchmark names; the rendered table is byte-deterministic
-   despite real concurrency, because outcomes classify only committed
-   state and typed errors. *)
-let cmd_chaos_exec bench =
-  let programs = chaos_programs bench 0 0 in
-  if programs = [] then begin
-    prerr_endline "exec chaos needs --bench all or --bench NAME[,NAME...]";
-    exit 2
-  end;
+   bundled benchmarks; the rendered table is byte-deterministic despite
+   real concurrency, because outcomes classify only committed state and
+   typed errors. *)
+let cmd_chaos_exec benches =
   with_errors (fun () ->
       let cells =
         guarded (fun () ->
-            Faults.Chaosexec.run_matrix ~log:print_endline programs)
+            Faults.Chaosexec.run_matrix ~log:print_endline
+              (List.map program_of_workload benches))
       in
       print_newline ();
       print_string (Faults.Chaosexec.render_table cells);
       if Faults.Chaosexec.count_failed cells > 0 then exit 1)
 
-let cmd_chaos_serve bench jobs =
-  let programs = serve_chaos_names bench in
+(* Serve-layer chaos works through the service request path, so it runs
+   over bundled benchmark names (fuzz programs would need the
+   force-select-main hook the request format deliberately lacks). *)
+let cmd_chaos_serve benches jobs =
+  let programs = List.map (fun (w : Workloads.Workload.t) -> w.name) benches in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -921,17 +778,17 @@ let cmd_chaos_serve bench jobs =
   print_string (Serve.Chaoserve.render_table cells);
   if Serve.Chaoserve.count_failed cells > 0 then exit 1
 
-let cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retries
-    sync_sched =
-  let programs = chaos_programs bench fuzz seed in
+let cmd_chaos benches modes fuzz seed jobs max_cycles capacity timeout
+    retries sync_sched =
+  let programs =
+    List.map program_of_workload benches
+    @ Faults.Chaos.fuzz_programs ~count:fuzz ~seed
+  in
   if programs = [] then begin
     prerr_endline "nothing to run: pass --bench all, --bench NAME[,NAME...], and/or --fuzz N";
     exit 2
   end;
-  let modes =
-    chaos_modes modes
-    |> List.map (fun (m, cfg) -> (m, apply_budget max_cycles cfg))
-  in
+  let modes = List.map (fun (m, cfg) -> (m, apply_budget max_cycles cfg)) modes in
   let pool = Harness.Jobs.create ?timeout ~retries ~jobs () in
   with_errors (fun () ->
       if capacity then begin
@@ -960,8 +817,8 @@ let cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retries
 (* serve: persistent compile service over JSONL requests               *)
 (* ------------------------------------------------------------------ *)
 
-let cmd_serve file jobs out retries
-    (cache_dir, no_cache, queue, rate, deadline, backoff, no_timing) =
+let cmd_serve file jobs out retries cache_dir no_cache queue rate deadline
+    no_timing =
   let text =
     match file with
     | Some path -> read_file path
@@ -984,16 +841,10 @@ let cmd_serve file jobs out retries
         sc_jobs = jobs;
         sc_deadline_s = deadline;
         sc_retries = retries;
-        sc_backoff_s = backoff;
         sc_timing = not no_timing;
       }
     in
-    let o =
-      try Serve.Service.run cfg requests
-      with Invalid_argument msg ->
-        prerr_endline msg;
-        exit 2
-    in
+    let o = Serve.Service.run cfg requests in
     let st = o.Serve.Service.so_stats in
     List.iter
       (fun q -> Printf.eprintf "quarantined corrupt cache entry %s\n" q)
@@ -1026,35 +877,95 @@ let cmd_serve file jobs out retries
 
 open Cmdliner
 
+(* Every flag value goes through a converter, so a bad value is a parse
+   error: exit 2 with a one-line message before the command runs.  Names
+   match exactly (Cli.exact), never by abbreviation. *)
+
 let file_arg =
-  Arg.(value & pos 1 (some string) None & info [] ~docv:"FILE")
+  Arg.(
+    value
+    & pos 0 (some string) None
+    & info [] ~docv:"FILE" ~doc:"The mini-C program (or use --bench).")
+
+let workload_conv =
+  Cli.exact
+    (List.map
+       (fun (w : Workloads.Workload.t) -> (w.name, w))
+       Workloads.Registry.all)
 
 let bench_arg =
-  Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"NAME")
+  Arg.(
+    value
+    & opt (some workload_conv) None
+    & info [ "bench" ] ~docv:"NAME"
+        ~doc:"Use a bundled benchmark (on its reference input), not FILE.")
+
+(* The chaos matrices take [all] or a comma-separated list of names;
+   [""] is neither. *)
+let benches_conv =
+  let names = Cli.list workload_conv in
+  Arg.conv
+    ( (fun s ->
+        if String.equal s "all" then Ok Workloads.Registry.all
+        else Arg.conv_parser names s),
+      Arg.conv_printer names )
+
+let benches_info = Arg.info [ "bench" ] ~docv:"all|NAME[,NAME...]"
+
+let required_benches_arg =
+  Arg.(required & opt (some benches_conv) None & benches_info)
+
+(* [--in ""] is the empty input. *)
+let input_conv =
+  let ints = Cli.list Arg.int in
+  Arg.conv
+    ( (function "" -> Ok [] | s -> Arg.conv_parser ints s),
+      Arg.conv_printer ints )
 
 let input_arg =
-  Arg.(value & opt (some string) None & info [ "in" ] ~docv:"N,N,...")
+  Arg.(
+    value
+    & opt (some input_conv) None
+    & info [ "in" ] ~docv:"N,N,..."
+        ~doc:"The program input (default: a benchmark's reference input).")
 
 let threshold_arg =
-  Arg.(value & opt float 0.05 & info [ "threshold" ] ~docv:"FRACTION")
+  Arg.(
+    value & opt Cli.fraction 0.05
+    & info [ "threshold" ] ~docv:"FRACTION"
+        ~doc:
+          "Synchronize a memory dependence that occurs in at least this \
+           fraction of epochs.")
 
-let mode_arg = Arg.(value & opt string "C" & info [ "mode" ] ~docv:"U|C|H|P|B")
+let mode_conv =
+  Cli.exact (List.map (fun ((m, _) as mode) -> (m, mode)) Tls.Config.modes)
+
+let mode_arg =
+  Arg.(
+    value
+    & opt mode_conv ("C", Tls.Config.c_mode)
+    & info [ "mode" ]
+        ~docv:(String.concat "|" (List.map fst Tls.Config.modes))
+        ~doc:"The machine configuration, one of the paper's bars.")
 
 let mutate_arg =
-  Arg.(value & opt (some string) None & info [ "mutate" ] ~docv:"FAULT")
+  Arg.(
+    value
+    & opt (some (Cli.exact Faults.Irfault.kinds)) None
+    & info [ "mutate" ] ~docv:"FAULT"
+        ~doc:"Inject an IR fault into the compiled program.")
 
 let modes_arg =
-  Arg.(value & opt string "U,C,H,B" & info [ "modes" ] ~docv:"M,M,...")
+  Arg.(
+    value
+    & opt (Cli.list mode_conv) Faults.Chaos.default_modes
+    & info [ "modes" ] ~docv:"M,M,...")
 
 let fuzz_arg =
   Arg.(value & opt (Cli.int_at_least 0) 0 & info [ "fuzz" ] ~docv:"COUNT")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED")
 
-let jobs_arg =
-  let doc =
-    "Run independent matrix cells on $(docv) domains. Output is \
-     byte-identical to a serial run."
-  in
+let jobs_arg ~doc =
   Arg.(value & opt (Cli.int_at_least 1) 1 & info [ "jobs"; "j" ] ~doc ~docv:"N")
 
 let max_cycles_arg =
@@ -1087,15 +998,6 @@ let validate_arg =
            error of the prediction, plus the violation superset check \
            (exit 1 if a simulator-observed violation was not predicted).")
 
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write $(b,serve)'s response lines to $(docv) (atomically) instead \
-           of stdout.")
-
 let capacity_arg =
   Arg.(
     value & flag
@@ -1115,6 +1017,9 @@ let timeout_arg =
     value
     & opt (some Cli.positive_float) None
     & info [ "timeout" ] ~doc ~docv:"SECONDS")
+
+let retries_arg ~doc =
+  Arg.(value & opt (Cli.int_at_least 0) 1 & info [ "retries" ] ~docv:"N" ~doc)
 
 let sig_buffer_arg =
   Arg.(
@@ -1147,7 +1052,7 @@ let overflow_policy_arg =
   Arg.(
     value
     & opt
-        (enum
+        (Cli.exact
            [
              ("stall", Tls.Config.Overflow_stall);
              ("squash", Tls.Config.Overflow_squash);
@@ -1162,7 +1067,7 @@ let engine_arg =
   Arg.(
     value
     & opt
-        (enum
+        (Cli.exact
            [
              ("ref", Tls.Config.Engine_ref);
              ("event", Tls.Config.Engine_event);
@@ -1170,20 +1075,10 @@ let engine_arg =
         Tls.Config.Engine_event
     & info [ "engine" ] ~docv:"ref|event"
         ~doc:
-          "Which simulator core $(b,simulate) runs: the reference \
-           cycle-stepped engine or the event-driven engine (default). Both \
-           produce byte-identical results; $(b,ref) exists as the oracle \
-           the differential suite locks the event core against.")
-
-let action_arg =
-  Arg.(
-    required
-    & pos 0 (some (enum
-        [ ("dump-ir", `Dump_ir); ("run", `Run); ("profile", `Profile);
-          ("depgraph", `Depgraph); ("compile", `Compile); ("lint", `Lint);
-          ("simulate", `Simulate); ("exec", `Exec); ("analyze", `Analyze);
-          ("chaos", `Chaos); ("serve", `Serve) ])) None
-    & info [] ~docv:"ACTION")
+          "Which simulator core runs: the reference cycle-stepped engine or \
+           the event-driven engine (default). Both produce byte-identical \
+           results; $(b,ref) exists as the oracle the differential suite \
+           locks the event core against.")
 
 let domains_arg =
   Arg.(
@@ -1191,33 +1086,35 @@ let domains_arg =
     & opt (some (Cli.int_at_least 1)) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for $(b,exec) (default: the simulated machine's \
-           processor count; 1 = serial in-order execution).")
+          "Worker domains (default: the simulated machine's processor \
+           count; 1 = serial in-order execution).")
 
 let watchdog_ms_arg =
   Arg.(
-    value & opt int 10_000
+    value
+    & opt (Cli.int_at_least 1) 10_000
     & info [ "watchdog-ms" ] ~docv:"MS"
         ~doc:
-          "Wall-clock watchdog for $(b,exec): no commit, squash, or \
-           sequential progress for this long is a hang, reported as the \
-           typed Specrt_stuck (exit 10).")
+          "Wall-clock watchdog: no commit, squash, or sequential progress \
+           for this long is a hang, reported as the typed Specrt_stuck \
+           (exit 10).")
 
 let max_aborts_arg =
   Arg.(
-    value & opt int 64
+    value
+    & opt (Cli.int_at_least 0) 64
     & info [ "max-aborts" ] ~docv:"N"
         ~doc:
-          "Per-epoch squash budget for $(b,exec); exceeding it raises the \
-           typed Abort_exhausted (exit 11).")
+          "Per-epoch squash budget; exceeding it raises the typed \
+           Abort_exhausted (exit 11).")
 
 let record_arg =
   Arg.(
     value & opt (some string) None
     & info [ "record" ] ~docv:"FILE"
         ~doc:
-          "Write $(b,exec)'s commit/violation/squash/signal event log to \
-           FILE (JSONL, one event per line).")
+          "Write the commit/violation/squash/signal event log to FILE \
+           (JSONL, one event per line).")
 
 let replay_arg =
   Arg.(
@@ -1229,149 +1126,211 @@ let replay_arg =
            points, so a nondeterministic failure reproduces \
            deterministically.  A truncated FILE replays its prefix.")
 
+(* Runtime-fault specs, e.g. delay-commit:0:5000, yield:1:4,
+   drop-wakeup:2:0, crash:1, crash:1:persistent.  The first number is
+   always the epoch index targeted (within the first region instance).
+   A parsed spec keeps its text, which is how it prints. *)
+let exec_fault_conv =
+  let fault s =
+    let n = int_of_string in
+    match String.split_on_char ':' s with
+    | [ "delay-commit"; e; ms ] ->
+      Specrt.Delay_commit { epoch = n e; ms = n ms }
+    | [ "yield"; e; k ] -> Specrt.Yield_steps { epoch = n e; every = n k }
+    | [ "drop-wakeup"; e; ch ] ->
+      Specrt.Drop_wakeup { epoch = n e; channel = n ch }
+    | [ "crash"; e ] -> Specrt.Crash_epoch { epoch = n e; persistent = false }
+    | [ "crash"; e; "persistent" ] ->
+      Specrt.Crash_epoch { epoch = n e; persistent = true }
+    | _ -> failwith s
+  in
+  Arg.conv
+    ( (fun s ->
+        match fault s with
+        | f -> Ok (s, f)
+        | exception Failure _ ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "invalid value '%s', expected delay-commit:EPOCH:MS | \
+                  yield:EPOCH:EVERY | drop-wakeup:EPOCH:CHANNEL | \
+                  crash:EPOCH[:persistent]"
+                 s))),
+      fun ppf (s, _) -> Format.pp_print_string ppf s )
+
 let inject_arg =
   Arg.(
-    value & opt_all string []
+    value & opt_all exec_fault_conv []
     & info [ "inject" ] ~docv:"SPEC"
         ~doc:
-          "Inject a runtime fault into $(b,exec) (repeatable): \
+          "Inject a runtime fault (repeatable): \
            $(b,delay-commit:EPOCH:MS), $(b,yield:EPOCH:EVERY), \
            $(b,drop-wakeup:EPOCH:CHANNEL), $(b,crash:EPOCH[:persistent]).")
-
-let exec_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "exec" ]
-        ~doc:
-          "With $(b,chaos): run the runtime-layer fault matrix through the \
-           speculative executor instead of the simulator.")
-
-(* The exec runtime knobs travel together. *)
-let exec_opts_term =
-  Term.(
-    const (fun domains watchdog_ms max_aborts record replay injects ->
-        (domains, watchdog_ms, max_aborts, record, replay, injects))
-    $ domains_arg $ watchdog_ms_arg $ max_aborts_arg $ record_arg
-    $ replay_arg $ inject_arg)
-
-let serve_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "serve" ]
-        ~doc:
-          "With $(b,chaos): run the service-layer fault matrix through \
-           $(b,mrvcc serve)'s request path.")
 
 let cache_dir_arg =
   Arg.(
     value & opt string "_mrvcc_cache"
     & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Artifact cache directory for $(b,serve) (created if missing).")
+        ~doc:"Artifact cache directory (created if missing).")
 
 let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable the $(b,serve) artifact cache.")
+  Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the artifact cache.")
 
 let queue_arg =
   Arg.(
-    value & opt int 8
+    value
+    & opt (Cli.int_at_least 1) 8
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Admission queue capacity for $(b,serve); arrivals past it are \
-           shed with a typed rejection (exit 8).")
+          "Admission queue capacity; arrivals past it are shed with a typed \
+           rejection (exit 8).")
 
 let rate_arg =
   Arg.(
-    value & opt int 2
-    & info [ "rate" ] ~docv:"N"
-        ~doc:"Requests dispatched per admission tick for $(b,serve).")
+    value
+    & opt (Cli.int_at_least 1) 2
+    & info [ "rate" ] ~docv:"N" ~doc:"Requests dispatched per admission tick.")
 
 let deadline_arg =
   Arg.(
-    value & opt float 10.0
+    value
+    & opt Cli.positive_float 10.0
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Default per-request wall deadline for $(b,serve); a request past \
-           its whole retry schedule resolves to a typed deadline response \
-           (exit 9).")
+          "Default per-request wall deadline; a request past its whole \
+           retry schedule resolves to a typed deadline response (exit 9).")
 
-let retries_arg =
+let out_arg =
   Arg.(
     value
-    & opt (Cli.int_at_least 0) 1
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts per $(b,serve) request, or per matrix job under \
-           --timeout; attempt k runs under deadline*2^k (after a \
-           backoff*2^(k-1) sleep in $(b,serve)).")
-
-let backoff_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "backoff" ] ~docv:"SECONDS"
-        ~doc:"Base backoff between $(b,serve) attempts (deterministic, no \
-              jitter).")
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:"Write the response lines to $(docv) atomically, not to stdout.")
 
 let no_timing_arg =
   Arg.(
     value & flag
     & info [ "no-timing" ]
         ~doc:
-          "Omit wall_ns from $(b,serve) responses, making the response \
-           stream byte-deterministic (used by the test fixtures).")
+          "Omit wall_ns from responses, making the response stream \
+           byte-deterministic (used by the test fixtures).")
 
-(* The serve service knobs travel together, like the resource limits. *)
-let serve_opts_term =
-  Term.(
-    const (fun cache_dir no_cache queue rate deadline backoff no_timing ->
-        (cache_dir, no_cache, queue, rate, deadline, backoff, no_timing))
-    $ cache_dir_arg $ no_cache_arg $ queue_arg $ rate_arg $ deadline_arg
-    $ backoff_arg $ no_timing_arg)
+let chaos_cmd =
+  let matrix =
+    Term.(
+      const cmd_chaos
+      $ Arg.(value & opt benches_conv [] & benches_info)
+      $ modes_arg $ fuzz_arg $ seed_arg
+      $ jobs_arg
+          ~doc:
+            "Run independent matrix cells on $(docv) domains. Output is \
+             byte-identical to a serial run."
+      $ max_cycles_arg $ capacity_arg $ timeout_arg
+      $ retries_arg
+          ~doc:
+            "Extra attempts per matrix job under --timeout; attempt k runs \
+             under timeout*2^k."
+      $ sync_sched_arg)
+  in
+  Cmd.group ~default:matrix
+    (Cmd.info "chaos"
+       ~doc:
+         "Run the fault x workload x mode resilience matrix on the \
+          simulator (or a subcommand's matrix).")
+    [
+      Cmd.v
+        (Cmd.info "exec"
+           ~doc:
+             "Run the runtime-layer fault matrix on the speculative executor.")
+        Term.(const cmd_chaos_exec $ required_benches_arg);
+      Cmd.v
+        (Cmd.info "serve"
+           ~doc:
+             "Run the service-layer fault matrix through the compile service.")
+        Term.(
+          const cmd_chaos_serve $ required_benches_arg
+          $ jobs_arg ~doc:"Worker domains of the service under test.");
+    ]
 
-(* The four DESIGN §12 resource knobs travel together. *)
-let limits_term =
-  Term.(
-    const (fun sig_buffer spec_lines fwd_queue policy ->
-        (sig_buffer, spec_lines, fwd_queue, policy))
-    $ sig_buffer_arg $ spec_lines_arg $ fwd_queue_arg $ overflow_policy_arg)
-
-let main action file bench input threshold mode mutate modes fuzz seed jobs
-    max_cycles json out capacity timeout retries limits sync_sched engine
-    validate serve serve_opts exec_flag exec_opts =
-  match action with
-  | `Dump_ir -> cmd_dump_ir file bench input
-  | `Run -> cmd_run file bench input
-  | `Profile -> cmd_profile file bench input threshold
-  | `Depgraph -> cmd_depgraph file bench input threshold
-  | `Compile -> cmd_compile file bench input threshold sync_sched
-  | `Lint -> cmd_lint file bench input threshold mutate
-  | `Simulate ->
-    cmd_simulate file bench input threshold mode mutate max_cycles limits
-      sync_sched engine
-  | `Exec -> cmd_exec file bench input threshold mode sync_sched exec_opts
-  | `Analyze ->
-    cmd_analyze file bench input threshold mode sync_sched json validate
-      max_cycles
-  | `Chaos ->
-    if exec_flag then cmd_chaos_exec bench
-    else if serve then cmd_chaos_serve bench jobs
-    else
-      cmd_chaos bench modes fuzz seed jobs max_cycles capacity timeout retries
-        sync_sched
-  | `Serve -> cmd_serve file jobs out retries serve_opts
+let serve_cmd =
+  let file =
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE" ~doc:"The JSONL requests (default: stdin).")
+  in
+  Cmd.v
+    (Cmd.info "serve" ~doc:"Answer JSONL compile requests from FILE or stdin.")
+    Term.(
+      const cmd_serve $ file
+      $ jobs_arg ~doc:"Worker domains for the requests of one tick."
+      $ out_arg
+      $ retries_arg
+          ~doc:"Extra attempts per request; attempt k runs under deadline*2^k."
+      $ cache_dir_arg $ no_cache_arg $ queue_arg $ rate_arg $ deadline_arg
+      $ no_timing_arg)
 
 let cmd =
-  let doc = "mini-C TLS compiler and simulator driver" in
-  Cmd.v
-    (Cmd.info "mrvcc" ~doc)
-    Term.(
-      const main $ action_arg $ file_arg $ bench_arg $ input_arg
-      $ threshold_arg $ mode_arg $ mutate_arg $ modes_arg $ fuzz_arg
-      $ seed_arg $ jobs_arg $ max_cycles_arg $ json_arg $ out_arg
-      $ capacity_arg $ timeout_arg $ retries_arg $ limits_term
-      $ sync_sched_arg $ engine_arg $ validate_arg $ serve_flag_arg
-      $ serve_opts_term $ exec_flag_arg $ exec_opts_term)
+  Cmd.group
+    (Cmd.info "mrvcc" ~doc:"mini-C TLS compiler and simulator driver")
+    [
+      Cmd.v
+        (Cmd.info "dump-ir" ~doc:"Print the lowered IR.")
+        Term.(const cmd_dump_ir $ file_arg $ bench_arg);
+      Cmd.v
+        (Cmd.info "run" ~doc:"Run the program sequentially; print its output.")
+        Term.(const cmd_run $ file_arg $ bench_arg $ input_arg);
+      Cmd.v
+        (Cmd.info "profile" ~doc:"Print the loop and dependence profile.")
+        Term.(
+          const cmd_profile $ file_arg $ bench_arg $ input_arg $ threshold_arg);
+      Cmd.v
+        (Cmd.info "depgraph"
+           ~doc:"Print each selected region's dependence graph as DOT.")
+        Term.(
+          const cmd_depgraph $ file_arg $ bench_arg $ input_arg
+          $ threshold_arg);
+      Cmd.v
+        (Cmd.info "compile"
+           ~doc:"Print the regions, the sync insertion and the transformed IR.")
+        Term.(
+          const cmd_compile $ file_arg $ bench_arg $ input_arg $ threshold_arg
+          $ sync_sched_arg);
+      Cmd.v
+        (Cmd.info "lint"
+           ~doc:
+             "Check sync placement statically (every bundled benchmark when \
+              no program is named); exit 1 on findings.")
+        Term.(
+          const cmd_lint $ file_arg $ bench_arg $ input_arg $ threshold_arg
+          $ mutate_arg $ sync_sched_arg);
+      Cmd.v
+        (Cmd.info "simulate"
+           ~doc:"Run the TLS simulator and check it against sequential.")
+        Term.(
+          const cmd_simulate $ file_arg $ bench_arg $ input_arg $ threshold_arg
+          $ mode_arg $ mutate_arg $ max_cycles_arg $ sig_buffer_arg
+          $ spec_lines_arg $ fwd_queue_arg $ overflow_policy_arg
+          $ sync_sched_arg $ engine_arg);
+      Cmd.v
+        (Cmd.info "exec"
+           ~doc:
+             "Run the compiled epochs speculatively on domains and check them \
+              against sequential.")
+        Term.(
+          const cmd_exec $ file_arg $ bench_arg $ input_arg $ threshold_arg
+          $ mode_arg $ sync_sched_arg $ domains_arg $ watchdog_ms_arg
+          $ max_aborts_arg $ record_arg $ replay_arg $ inject_arg);
+      Cmd.v
+        (Cmd.info "analyze"
+           ~doc:"Estimate sync stalls and violation risk statically.")
+        Term.(
+          const cmd_analyze $ file_arg $ bench_arg $ input_arg $ threshold_arg
+          $ mode_arg $ sync_sched_arg $ json_arg $ validate_arg
+          $ max_cycles_arg);
+      chaos_cmd;
+      serve_cmd;
+    ]
 
 (* A command-line error exits 2 with its one-line message (Cli.eval). *)
 let () =

@@ -11,9 +11,21 @@ val int_at_least : int -> int Cmdliner.Arg.conv
 (** Accepts a number [> 0] (so not [0], a negative, or [nan]). *)
 val positive_float : float Cmdliner.Arg.conv
 
+(** Accepts a number in [[0, 1]] (so not [nan]). *)
+val fraction : float Cmdliner.Arg.conv
+
+(** Accepts one of the table's names exactly; unlike [Cmdliner.Arg.enum],
+    never an abbreviation ([mc] is not [mcf]). *)
+val exact : (string * 'a) list -> 'a Cmdliner.Arg.conv
+
+(** Accepts [ITEM[,ITEM...]], each item trimmed and then parsed; unlike
+    [Cmdliner.Arg.list], an empty item is parsed (so [""] is no empty
+    list), never skipped. *)
+val list : 'a Cmdliner.Arg.conv -> 'a list Cmdliner.Arg.conv
+
 (** [eval ?argv cmd] runs [cmd] like [Cmdliner.Cmd.eval] and returns its
     exit code and the text to write to stderr.  A command-line error
-    (unknown flag or action, out-of-range value, ...) comes back as
+    (unknown command or flag, out-of-range value, ...) comes back as
     exit 2, the documented usage-error code, with only the one-line
     message: Cmdliner alone would add a usage line and a --help hint and
     exit 124. *)

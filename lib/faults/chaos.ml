@@ -21,13 +21,7 @@ type cell = {
   c_outcome : outcome;
 }
 
-let default_modes =
-  [
-    ("U", Tls.Config.u_mode);
-    ("C", Tls.Config.c_mode);
-    ("H", Tls.Config.h_mode);
-    ("B", Tls.Config.b_mode);
-  ]
+let default_modes = List.remove_assoc "P" Tls.Config.modes
 
 let seq_output source input =
   let prog = Tlscore.Pipeline.original ~source in

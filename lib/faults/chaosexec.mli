@@ -1,5 +1,5 @@
-(** Runtime-layer chaos for the real speculative executor ([chaos
-    --exec], DESIGN §16).
+(** Runtime-layer chaos for the real speculative executor ([mrvcc
+    chaos exec], DESIGN §16).
 
     Crosses programs with the {!Specrt.fault} catalog and classifies
     each cell with the simulator matrix's discipline: absorbable faults

@@ -22,7 +22,7 @@ type kind =
           [deadline] after the bounded retry schedule — never a hang. *)
   | Transient_io
       (** The first attempt raises a transient I/O error; later attempts
-          succeed.  Absorbed: the deterministic backoff retry completes
+          succeed.  Absorbed: the deterministic retry completes
           the request with a correct, cache-consistent result. *)
   | Always_transient
       (** Every attempt raises a transient error.  Degraded when a

@@ -18,9 +18,7 @@ type t = {
   map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list;
 }
 
-type attempt = { at_timeout_s : float; at_backoff_s : float }
-
-exception Retries_exhausted of { index : int; attempts : attempt list }
+exception Retries_exhausted of { index : int; attempts : float list }
 exception Pool_failure of { reason : string }
 
 let available () = Domain.recommended_domain_count ()
@@ -65,34 +63,26 @@ let run_with_deadline ~timeout_s f x =
     in
     poll ()
 
-let with_deadline ~timeout_s f x = run_with_deadline ~timeout_s f x
-
 (* The deterministic retry schedule: attempt [k] (0-based) runs under a
-   deadline of [timeout_s * 2^k] after sleeping [backoff_s * 2^(k-1)]
-   (no sleep before the first attempt).  No jitter: the same inputs
-   always produce the same schedule, so test expectations and chaos
-   matrices are reproducible. *)
-let attempt_plan ~timeout_s ~backoff_s ~retries =
-  List.init (retries + 1) (fun k ->
-      {
-        at_timeout_s = timeout_s *. Float.of_int (1 lsl k);
-        at_backoff_s =
-          (if k = 0 then 0.0 else backoff_s *. Float.of_int (1 lsl (k - 1)));
-      })
+   deadline of [timeout_s * 2^k].  No jitter: the same inputs always
+   produce the same schedule, so test expectations and chaos matrices
+   are reproducible. *)
+let attempt_plan ~timeout_s ~retries =
+  List.init (retries + 1) (fun k -> timeout_s *. Float.of_int (1 lsl k))
 
-(* A job under a timeout runs its [attempt_plan], without backoff
-   sleeps, until one attempt finishes: a transiently slow host (GC
-   pause, noisy neighbour) gets another chance at a larger bound, while
-   a genuinely wedged job exhausts the plan. *)
+(* A job under a timeout runs its [attempt_plan] until one attempt
+   finishes: a transiently slow host (GC pause, noisy neighbour) gets
+   another chance at a larger bound, while a genuinely wedged job
+   exhausts the plan. *)
 let run_with_retries ~index ~timeout_s ~retries f x =
-  let plan = attempt_plan ~timeout_s ~backoff_s:0.0 ~retries in
+  let plan = attempt_plan ~timeout_s ~retries in
   let rec go = function
     | [] ->
       Error
         ( Retries_exhausted { index; attempts = plan },
           Printexc.get_callstack 0 )
-    | a :: rest -> (
-      match run_with_deadline ~timeout_s:a.at_timeout_s f x with
+    | timeout_s :: rest -> (
+      match run_with_deadline ~timeout_s f x with
       | Some outcome -> outcome
       | None -> go rest)
   in

@@ -26,16 +26,12 @@ type t = {
           would have surfaced first. *)
 }
 
-(** One scheduled attempt of a retried job: the deadline it ran under
-    and the backoff slept before it (0 for the first attempt). *)
-type attempt = { at_timeout_s : float; at_backoff_s : float }
-
 (** A job exceeded its per-job timeout on every attempt of its
     [?retries] budget.  [index] is the job's position in the input list,
     so a failed matrix run names the exact cell that wedged; [attempts]
-    is the full deterministic schedule that was tried (oldest first), so
-    it also reports exactly which deadlines were granted. *)
-exception Retries_exhausted of { index : int; attempts : attempt list }
+    is the full deterministic schedule that was tried, the deadline of
+    each attempt in seconds (oldest first). *)
+exception Retries_exhausted of { index : int; attempts : float list }
 
 (** The pool's own invariant broke: a result slot could not be filled
     even by the inline recovery pass (see the worker-death contract on
@@ -53,9 +49,9 @@ val serial : t
     [?timeout] bounds each job's wall time in seconds.  A job past its
     deadline is abandoned (OCaml domains cannot be killed — the stray
     computation finishes on its own cycle budget) and retried under the
-    deterministic schedule [attempt_plan ~timeout_s:timeout ~backoff_s:0
-    ~retries]: attempt [k] (0-based, [retries + 1] attempts total, no
-    sleep between them) runs under a deadline of [timeout * 2^k].
+    deterministic schedule [attempt_plan ~timeout_s:timeout ~retries]:
+    attempt [k] (0-based, [retries + 1] attempts total, no sleep between
+    them) runs under a deadline of [timeout * 2^k].
     [?retries] defaults to 0, a single attempt.  When every attempt
     times out the job's outcome becomes {!Retries_exhausted}; the rest
     of the matrix still completes, in input order, and the lowest-index
@@ -80,21 +76,19 @@ val create :
   unit ->
   t
 
-(** [attempt_plan ~timeout_s ~backoff_s ~retries] is the deterministic
-    retry schedule: attempt [k] runs under [timeout_s * 2^k] after
-    sleeping [backoff_s * 2^(k-1)] (never before the first attempt).
-    [create ~retries] runs it with [~backoff_s:0]; the serve layer runs
-    it with its own backoff.  Exposed so callers and tests can reason
+(** [attempt_plan ~timeout_s ~retries] is the deterministic retry
+    schedule, the deadline of each of the [retries + 1] attempts:
+    attempt [k] runs under [timeout_s * 2^k].  [create ~retries] and the
+    serve layer both run it.  Exposed so callers and tests can reason
     about it without running anything. *)
-val attempt_plan :
-  timeout_s:float -> backoff_s:float -> retries:int -> attempt list
+val attempt_plan : timeout_s:float -> retries:int -> float list
 
-(** [with_deadline ~timeout_s f x] runs one computation under a wall
+(** [run_with_deadline ~timeout_s f x] runs one computation under a wall
     deadline on a monitor domain: [Some (Ok v)] / [Some (Error ...)] if
     it finished, [None] if it was abandoned at the deadline (the stray
     domain finishes on its own).  The building block the serve layer's
     per-request deadlines are made of. *)
-val with_deadline :
+val run_with_deadline :
   timeout_s:float ->
   ('a -> 'b) ->
   'a ->

@@ -39,14 +39,11 @@ let svc_config ~jobs ~queue ~dir =
     sc_jobs = jobs;
     sc_deadline_s = 60.0;
     sc_retries = 1;
-    sc_backoff_s = 0.0;
     sc_timing = false;
   }
 
-let run_svc cfg rqs = Service.run ~sleep:(fun _ -> ()) cfg rqs
-
 let run_one cfg rq =
-  match run_svc cfg [ rq ] with
+  match Service.run cfg [ rq ] with
   | { Service.so_responses = [ r ]; so_stats } -> (r, so_stats)
   | _ -> assert false
 
@@ -146,7 +143,7 @@ let serve_cell ~cfg ~dir ~baseline_digest prog (spec : Faults.Servefault.spec) =
   | Faults.Servefault.Burst -> (
     let cfg = { cfg with Service.sc_queue = 4 } in
     let rqs = List.init 12 (fun i -> base_request ~tick:0 ~id:(10 + i) prog) in
-    let o = run_svc cfg rqs in
+    let o = Service.run cfg rqs in
     let st = o.Service.so_stats in
     if
       st.Service.st_error = 0

@@ -27,8 +27,6 @@ let op_of_name = function
   | "profile" -> Some Profile
   | _ -> None
 
-let modes = [ "U"; "C"; "H"; "P"; "B" ]
-
 let known_fields =
   [
     "id"; "op"; "bench"; "source"; "input"; "mode"; "threshold"; "sync_sched";
@@ -96,9 +94,11 @@ let parse_obj j =
     let* m = Json.opt_str j "mode" in
     match m with
     | None -> Ok "C"
-    | Some m when List.mem m modes -> Ok m
+    | Some m when List.mem_assoc m Tls.Config.modes -> Ok m
     | Some m ->
-      Error (Printf.sprintf "unknown mode %S (have U, C, H, P, B)" m)
+      Error
+        (Printf.sprintf "unknown mode %S (have %s)" m
+           (String.concat ", " (List.map fst Tls.Config.modes)))
   in
   let* threshold =
     let* t = Json.opt_num j "threshold" in

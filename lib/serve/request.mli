@@ -27,7 +27,7 @@ type t = {
   rq_bench : string option;   (* exactly one of rq_bench / rq_source *)
   rq_source : string option;
   rq_input : int list option; (* None = benchmark reference input *)
-  rq_mode : string;           (* U / C / H / P / B; default C *)
+  rq_mode : string;           (* a label of Tls.Config.modes; default C *)
   rq_threshold : float;       (* memory-sync threshold; default 0.05 *)
   rq_sync_sched : bool;
   rq_tick : int option;       (* admission tick; default arrival index *)

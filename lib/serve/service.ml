@@ -16,7 +16,6 @@ type config = {
   sc_jobs : int;
   sc_deadline_s : float;
   sc_retries : int;
-  sc_backoff_s : float;
   sc_timing : bool;
 }
 
@@ -28,7 +27,6 @@ let default_config =
     sc_jobs = 2;
     sc_deadline_s = 10.0;
     sc_retries = 1;
-    sc_backoff_s = 0.0;
     sc_timing = true;
   }
 
@@ -96,12 +94,8 @@ let lkg_key rq ~source ~input = Cache.fingerprint (key_parts ~fault:"" rq ~sourc
 (* The computation behind one request                                  *)
 (* ------------------------------------------------------------------ *)
 
-let config_of_mode = function
-  | "U" -> Tls.Config.u_mode
-  | "C" -> Tls.Config.c_mode
-  | "H" -> Tls.Config.h_mode
-  | "P" -> Tls.Config.p_mode
-  | _ -> Tls.Config.b_mode
+(* [Request.parse_all] admits only the labels of [Tls.Config.modes]. *)
+let mode_config rq = List.assoc rq.rq_mode Tls.Config.modes
 
 type injected =
   | No_inj
@@ -123,10 +117,9 @@ let num n = Json.Jnum (float_of_int n)
 
 let compile_artifact rq ~source ~profile_input ~dep_input ?profile_fault () =
   let memory_sync =
-    match rq.rq_mode with
-    | "U" | "H" | "P" -> Tlscore.Pipeline.No_memory_sync
-    | _ ->
+    if (mode_config rq).Tls.Config.stall_compiler_sync then
       Tlscore.Pipeline.Profiled { dep_input; threshold = rq.rq_threshold }
+    else Tlscore.Pipeline.No_memory_sync
   in
   Tlscore.Pipeline.compile ?profile_fault ~sync_sched:rq.rq_sync_sched ~source
     ~profile_input ~memory_sync ()
@@ -193,7 +186,7 @@ let compute rq ~source ~input ~plan =
         | Some a -> Runtime.Code.of_prog a.Faults.Irfault.prog)
       | _ -> compiled.Tlscore.Pipeline.code
     in
-    let cfg = config_of_mode rq.rq_mode in
+    let cfg = mode_config rq in
     let cfg =
       match plan with
       | Some (Faults.Fault.Sim_fault f) ->
@@ -268,7 +261,7 @@ let retryable = function Transient _ -> true | _ -> false
 (* One request, end to end                                             *)
 (* ------------------------------------------------------------------ *)
 
-let process ~sleep cfg cache rq =
+let process cfg cache rq =
   let started = Unix.gettimeofday () in
   let finish status disp attempts payload =
     let wall_ns =
@@ -336,18 +329,11 @@ let process ~sleep cfg cache rq =
         | _ -> ());
         compute rq ~source ~input ~plan
       in
-      let plan_attempts =
-        Jobs.attempt_plan ~timeout_s:deadline ~backoff_s:cfg.sc_backoff_s
-          ~retries:cfg.sc_retries
-      in
       let rec go k = function
         | [] -> assert false (* attempt_plan is never empty *)
-        | (a : Jobs.attempt) :: rest -> (
-          if a.Jobs.at_backoff_s > 0.0 then sleep a.Jobs.at_backoff_s;
+        | timeout_s :: rest -> (
           match
-            Jobs.with_deadline ~timeout_s:a.Jobs.at_timeout_s
-              (attempt_body ~k ~timeout_s:a.Jobs.at_timeout_s)
-              ()
+            Jobs.run_with_deadline ~timeout_s (attempt_body ~k ~timeout_s) ()
           with
           | None ->
             if rest <> [] then go (k + 1) rest
@@ -355,7 +341,7 @@ let process ~sleep cfg cache rq =
               fail Sdeadline (k + 1) "deadline"
                 (Printf.sprintf
                    "deadline exceeded: %d attempt(s), last under %.3fs"
-                   (k + 1) a.Jobs.at_timeout_s)
+                   (k + 1) timeout_s)
           | Some (Ok result) ->
             let disp =
               match (cache, inj) with
@@ -372,10 +358,11 @@ let process ~sleep cfg cache rq =
             let err_class, err_msg = classify e in
             fail Serror (k + 1) err_class err_msg)
       in
-      go 0 plan_attempts)
+      go 0
+        (Jobs.attempt_plan ~timeout_s:deadline ~retries:cfg.sc_retries))
 
-let process ~sleep cfg cache rq =
-  try process ~sleep cfg cache rq
+let process cfg cache rq =
+  try process cfg cache rq
   with e ->
     {
       rs_id = rq.rq_id;
@@ -397,10 +384,9 @@ let validate cfg =
   if cfg.sc_rate < 1 then bad "rate must be >= 1";
   if cfg.sc_jobs < 1 then bad "jobs must be >= 1";
   if cfg.sc_deadline_s <= 0.0 then bad "deadline must be positive";
-  if cfg.sc_retries < 0 then bad "retries must be non-negative";
-  if cfg.sc_backoff_s < 0.0 then bad "backoff must be non-negative"
+  if cfg.sc_retries < 0 then bad "retries must be non-negative"
 
-let run ?(sleep = Unix.sleepf) cfg requests =
+let run cfg requests =
   validate cfg;
   let cache, quarantined =
     match cfg.sc_cache_dir with
@@ -421,7 +407,7 @@ let run ?(sleep = Unix.sleepf) cfg requests =
   let pool = Jobs.create ~jobs:cfg.sc_jobs () in
   let dispatch batch =
     pool.Jobs.map
-      (fun (i, rq) -> (i, process ~sleep cfg cache rq))
+      (fun (i, rq) -> (i, process cfg cache rq))
       batch
     |> List.iter (fun (i, r) -> responses.(i) <- Some r)
   in

@@ -9,9 +9,9 @@
     {!Harness.Jobs} pool.
 
     Each dispatched request runs under the {!Harness.Jobs.attempt_plan}
-    schedule: attempt [k] gets a wall deadline of [deadline * 2^k]
-    (via {!Harness.Jobs.with_deadline}) after a [backoff * 2^(k-1)]
-    sleep.  Transient faults are retried; typed compiler/simulator errors
+    schedule: attempt [k] gets a wall deadline of [deadline * 2^k] (via
+    {!Harness.Jobs.run_with_deadline}), with no sleep between attempts.
+    Transient faults are retried; typed compiler/simulator errors
     are not (they would fail identically); a request whose every attempt
     misses its deadline resolves to a typed [deadline] response.
 
@@ -32,12 +32,11 @@ type config = {
   sc_jobs : int;                 (* worker pool width, >= 1 *)
   sc_deadline_s : float;         (* default per-request deadline *)
   sc_retries : int;              (* extra attempts after the first *)
-  sc_backoff_s : float;          (* base backoff between attempts *)
   sc_timing : bool;              (* emit wall_ns in responses *)
 }
 
-(** queue 8, rate 2, jobs 2, deadline 10s, 1 retry, 0 backoff, timing
-    on, cache at [_mrvcc_cache]. *)
+(** queue 8, rate 2, jobs 2, deadline 10s, 1 retry, timing on, cache at
+    [_mrvcc_cache]. *)
 val default_config : config
 
 type stats = {
@@ -68,12 +67,12 @@ val resolve : Request.t -> (string * int array, string) result
     chaos harness can corrupt precisely this entry on disk. *)
 val exact_key : Request.t -> source:string -> input:int array -> string
 
-(** Run a whole request stream to completion.  [?sleep] (default
-    [Unix.sleepf]) services backoff sleeps — injectable so tests don't
-    wait; injected fault sleeps always use real time, since deadlines
-    are wall-clock.  Never raises on a per-request failure: every
-    request gets exactly one typed response. *)
-val run : ?sleep:(float -> unit) -> config -> Request.t list -> outcome
+(** Run a whole request stream to completion.  Never raises on a
+    per-request failure: every request gets exactly one typed response.
+    Raises [Invalid_argument] on a config outside its documented ranges
+    (queue, rate or jobs below 1, a deadline not > 0, negative
+    retries). *)
+val run : config -> Request.t list -> outcome
 
 (** Driver exit code: [1] if any [error] response, else [8] if any
     request was shed, else [9] if any deadline was exceeded, else

@@ -22,7 +22,7 @@
     never process death), and every commit/violation/squash/signal is
     recorded in an event log that {!run} can replay deterministically. *)
 
-(** Runtime-layer fault injections ([chaos --exec]).  All faults key on
+(** Runtime-layer fault injections ([chaos exec]).  All faults key on
     the epoch {e index} within a region instance and arm only in the
     first instance of the run, so outcomes are deterministic:
     - [Delay_commit]: the epoch sleeps [ms] while holding the homefree

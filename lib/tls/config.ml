@@ -112,6 +112,9 @@ let p_mode =
   { default with stall_compiler_sync = false; hw_value_predict = true }
 let b_mode = { default with stall_compiler_sync = true; hw_sync_stall = true }
 
+let modes =
+  [ ("U", u_mode); ("C", c_mode); ("H", h_mode); ("P", p_mode); ("B", b_mode) ]
+
 let bplus_mode =
   {
     b_mode with

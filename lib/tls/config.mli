@@ -154,6 +154,11 @@ val h_mode : t   (* hardware-inserted sync *)
 val p_mode : t   (* hardware value prediction *)
 val b_mode : t   (* hybrid: compiler + hardware *)
 
+(** The five configurations by bar label, in figure order: U, C, H, P,
+    B.  Only C and B set [stall_compiler_sync], so only they need a
+    program compiled with memory synchronization. *)
+val modes : (string * t) list
+
 (** The enhanced hybrid of the paper's §4.2 suggestions (iii)/(iv):
     hardware skips compiler-synchronized loads and filters rarely-useful
     compiler synchronization. *)

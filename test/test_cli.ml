@@ -23,8 +23,8 @@ let rejects label conv s =
   | Ok _ -> Alcotest.failf "%s: %S accepted" label s
   | Error (`Msg _) -> ()
 
-let accepts_float label s expected =
-  match parse Cli.positive_float s with
+let accepts_float ?(conv = Cli.positive_float) label s expected =
+  match parse conv s with
   | Ok v -> Alcotest.(check (float 0.0)) label expected v
   | Error (`Msg m) -> Alcotest.failf "%s: %S rejected: %s" label s m
 
@@ -64,6 +64,28 @@ let float_rejects_zero_negative_nan () =
     (fun s -> rejects "not > 0" Cli.positive_float s)
     [ "0"; "0.0"; "-1"; "nan"; "x" ]
 
+let fraction_accepts_unit_interval () =
+  accepts_float ~conv:Cli.fraction "threshold 0" "0" 0.0;
+  accepts_float ~conv:Cli.fraction "threshold 0.05" "0.05" 0.05;
+  accepts_float ~conv:Cli.fraction "threshold 1" "1" 1.0
+
+let fraction_rejects_outside_and_nan () =
+  List.iter
+    (fun s -> rejects "not in [0, 1]" Cli.fraction s)
+    [ "-0.1"; "1.5"; "nan"; "x" ]
+
+(* Cmdliner's Arg.enum takes "par" for parser, and its Arg.list skips
+   empty items, so "" would be an empty matrix that runs nothing. *)
+let names_exact_and_no_empty_items () =
+  let names = Cli.exact [ ("mcf", 1); ("mcf2", 2); ("parser", 3) ] in
+  accepts "mcf" names "mcf" 1;
+  accepts "parser" names "parser" 3;
+  List.iter (rejects "not a whole name" names) [ "par"; "MCF"; ""; "mcf," ];
+  (match parse (Cli.list names) " parser, mcf2" with
+  | Ok v -> Alcotest.(check (list int)) "trimmed items" [ 3; 2 ] v
+  | Error (`Msg m) -> Alcotest.fail m);
+  List.iter (rejects "empty item" (Cli.list Arg.int)) [ ""; ","; "1,,2"; "1," ]
+
 (* ------------------------------------------------------------------ *)
 (* Cli.eval                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -101,6 +123,25 @@ let negative_after_equals_exits_2 () =
 let unknown_flag_exits_2 () = usage_error [| "t"; "--bogus" |] "--bogus"
 let missing_value_exits_2 () = usage_error [| "t"; "--jobs" |] "--jobs"
 
+(* Two subcommands, each with only its own flag, like mrvcc's: a flag of
+   one is unknown to the other, and a parse error runs neither term. *)
+let foreign_flag_exits_2 () =
+  let ran = ref [] in
+  let sub name only =
+    let seen = Arg.value (Arg.flag (Arg.info [ only ])) in
+    Cmd.v (Cmd.info name)
+      (Term.app (Term.const (fun _ -> ran := name :: !ran)) seen)
+  in
+  let cmd = Cmd.group (Cmd.info "t") [ sub "a" "only-a"; sub "b" "only-b" ] in
+  let code, text = Cli.eval ~argv:[| "t"; "a"; "--only-b" |] cmd in
+  check_int "exit code" 2 code;
+  check_bool "one line" true
+    (String.index_opt text '\n' = Some (String.length text - 1));
+  check_bool "neither term ran" true (!ran = []);
+  let code, _ = Cli.eval ~argv:[| "t"; "b"; "--only-b" |] cmd in
+  check_int "its own flag" 0 code;
+  check_bool "only b ran" true (!ran = [ "b" ])
+
 let valid_run_exits_0_silently () =
   let seen = ref None in
   let code, text = Cli.eval ~argv:[| "t"; "--jobs"; "4" |] (jobs_cmd seen) in
@@ -136,6 +177,12 @@ let () =
             float_accepts_positive;
           Alcotest.test_case "float rejects zero, negatives, nan" `Quick
             float_rejects_zero_negative_nan;
+          Alcotest.test_case "fraction accepts [0, 1]" `Quick
+            fraction_accepts_unit_interval;
+          Alcotest.test_case "fraction rejects outside [0, 1] and nan" `Quick
+            fraction_rejects_outside_and_nan;
+          Alcotest.test_case "exact names, no empty list items" `Quick
+            names_exact_and_no_empty_items;
         ] );
       ( "eval",
         [
@@ -151,5 +198,7 @@ let () =
             valid_run_exits_0_silently;
           Alcotest.test_case "a crash is not a usage error" `Quick
             crash_is_not_a_usage_error;
+          Alcotest.test_case "another command's flag exits 2 on one line"
+            `Quick foreign_flag_exits_2;
         ] );
     ]

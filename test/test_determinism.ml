@@ -240,7 +240,7 @@ let program_of_workload name =
     }
   | None -> Alcotest.fail ("missing bundled benchmark " ^ name)
 
-let chaos_programs () =
+let matrix_programs () =
   [ program_of_workload "twolf" ] @ Faults.Chaos.fuzz_programs ~count:1 ~seed:7
 
 let render_matrix map =
@@ -252,7 +252,7 @@ let render_matrix map =
         Buffer.add_char log '\n')
       ~map
       ~modes:[ ("U", Tls.Config.u_mode); ("C", Tls.Config.c_mode) ]
-      ~faults:Faults.Fault.catalog (chaos_programs ())
+      ~faults:Faults.Fault.catalog (matrix_programs ())
   in
   Buffer.contents log ^ "\n" ^ Faults.Chaos.render_table cells
 

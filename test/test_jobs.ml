@@ -38,7 +38,7 @@ let timeout_fires () =
     check_int "timed-out job is named by input index" 2 index;
     Alcotest.(check (list (float 1e-9)))
       "one attempt, under the configured bound" [ 0.05 ]
-      (List.map (fun a -> a.Harness.Jobs.at_timeout_s) attempts));
+      attempts);
   let elapsed = Unix.gettimeofday () -. t0 in
   (* Surfacing must be bounded: well before the 2s spin finishes.  (The
      abandoned domain keeps spinning in the background; we only assert
@@ -87,27 +87,20 @@ let retry_exhausted () =
   check_int "one attempt + one retry" 2 (Atomic.get attempts)
 
 let attempt_plan_schedule () =
-  (* The schedule is a pure function: attempt k runs under timeout*2^k
-     after a backoff*2^(k-1) sleep (none before the first attempt). *)
-  let plan =
-    Harness.Jobs.attempt_plan ~timeout_s:0.1 ~backoff_s:0.25 ~retries:3
-  in
+  (* The schedule is a pure function: attempt k runs under timeout*2^k. *)
+  let plan = Harness.Jobs.attempt_plan ~timeout_s:0.1 ~retries:3 in
   check_int "retries=3 means four attempts" 4 (List.length plan);
   List.iteri
-    (fun k { Harness.Jobs.at_timeout_s; at_backoff_s } ->
+    (fun k timeout_s ->
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "attempt %d timeout" k)
         (0.1 *. (2.0 ** float_of_int k))
-        at_timeout_s;
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "attempt %d backoff" k)
-        (if k = 0 then 0.0 else 0.25 *. (2.0 ** float_of_int (k - 1)))
-        at_backoff_s)
+        timeout_s)
     plan;
   (* Determinism: the same inputs always yield the identical schedule. *)
   Alcotest.(check bool)
     "schedule is reproducible" true
-    (plan = Harness.Jobs.attempt_plan ~timeout_s:0.1 ~backoff_s:0.25 ~retries:3)
+    (plan = Harness.Jobs.attempt_plan ~timeout_s:0.1 ~retries:3)
 
 let retries_exhausted_carries_history () =
   (* Every attempt spins past its (growing) deadline: the pool must give
@@ -129,8 +122,7 @@ let retries_exhausted_carries_history () =
     check_int "history covers retries+1 attempts" 3 (List.length attempts);
     Alcotest.(check bool)
       "history matches the published plan" true
-      (attempts = Harness.Jobs.attempt_plan ~timeout_s:0.04 ~backoff_s:0.0
-                    ~retries:2));
+      (attempts = Harness.Jobs.attempt_plan ~timeout_s:0.04 ~retries:2));
   Unix.sleepf 0.05;
   check_int "all three attempts were actually run" 3
     (Atomic.get attempts_made)

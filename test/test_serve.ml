@@ -275,7 +275,7 @@ let config dir =
     sc_timing = false;  (* byte-identical response lines *)
   }
 
-let run cfg reqs = Serve.Service.run ~sleep:(fun _ -> ()) cfg reqs
+let run = Serve.Service.run
 
 let lines outcome =
   List.map Serve.Request.response_line outcome.Serve.Service.so_responses
