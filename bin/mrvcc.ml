@@ -113,16 +113,8 @@ let guarded f =
       "step budget exhausted: %d instructions executed (limit %d)\n" icount
       max_steps;
     exit 5
-  | Profiler.Runner.Step_limit { max_steps; icount } ->
-    Printf.eprintf
-      "profiling step budget exhausted: %d instructions executed (limit %d)\n"
-      icount max_steps;
-    exit 5
   | Runtime.Thread.Unexpected_stop { reason; icount } ->
     Printf.eprintf "sequential thread %s after %d instructions\n" reason icount;
-    exit 6
-  | Profiler.Runner.Unexpected_stop { reason; icount } ->
-    Printf.eprintf "profiled thread %s after %d instructions\n" reason icount;
     exit 6
   | Tls.Sim.Resource_deadlock d ->
     Printf.eprintf "resource deadlock: %s\n"
@@ -931,7 +923,7 @@ let input_arg =
 
 let threshold_arg =
   Arg.(
-    value & opt Cli.fraction 0.05
+    value & opt Cli.fraction Tlscore.Pipeline.default_threshold
     & info [ "threshold" ] ~docv:"FRACTION"
         ~doc:
           "Synchronize a memory dependence that occurs in at least this \

@@ -34,7 +34,6 @@ type obj = { o_name : string; o_addr : int; o_words : int }
 type t = {
   objs : obj array;
   reg_base : (string, int) Hashtbl.t;   (* function -> first register node *)
-  mem_base : int;                       (* first object-contents node *)
   uf : Support.Union_find.t;
   pts : Int_set.t array;                (* indexed by union-find root *)
 }
@@ -268,7 +267,7 @@ let analyze (prog : Ir.Prog.t) : t =
     if not (Int_set.is_empty storec_const.(n)) then
       Int_set.iter (fun o -> add_objs (memnode o) storec_const.(n)) p
   done;
-  { objs; reg_base; mem_base; uf; pts }
+  { objs; reg_base; uf; pts }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -285,10 +284,6 @@ let reg_addr t fname r =
 let operand_addr t fname = function
   | Ir.Instr.Imm n -> Exact n
   | Ir.Instr.Reg r -> reg_addr t fname r
-
-let object_contents t k =
-  let n = Support.Union_find.find t.uf (t.mem_base + k) in
-  t.pts.(n)
 
 let may_alias t a b =
   match (a, b) with

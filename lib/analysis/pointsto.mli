@@ -36,9 +36,6 @@ val object_extent : t -> int -> int * int
 (** Object whose word range contains the given address, if any. *)
 val object_containing : t -> int -> int option
 
-(** What the contents of object [k] may point to (field-insensitive). *)
-val object_contents : t -> int -> Int_set.t
-
 (** May-point-to abstraction of a register in a function.  An unknown
     function or an empty points-to set yields [Unknown]. *)
 val reg_addr : t -> string -> Ir.Instr.reg -> addr

@@ -681,11 +681,6 @@ let resolve_pointsto pointsto prog =
   | Some pt -> pt
   | None -> Pointsto.analyze prog
 
-let run ?pointsto ?dep_profile (prog : Ir.Prog.t) (region : Ir.Region.t) =
-  let pt = resolve_pointsto pointsto prog in
-  let iid_index = build_iid_index prog in
-  List.sort_uniq compare (run_region pt iid_index prog region ~dep_profile)
-
 let run_prog ?pointsto ?(dep_profiles = []) (prog : Ir.Prog.t) =
   let pt = resolve_pointsto pointsto prog in
   let iid_index = build_iid_index prog in

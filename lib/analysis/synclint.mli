@@ -43,20 +43,12 @@ val severity_string : severity -> string
 (** One-line rendering: [error: main/L3/i42: [dominance] ...]. *)
 val to_string : finding -> string
 
-(** Lint a single region.  [pointsto] reuses a precomputed analysis of
-    [prog] (valid across instruction reorderings, which cannot change the
-    flow-insensitive facts); omitted, it is computed afresh. *)
-val run :
-  ?pointsto:Pointsto.t ->
-  ?dep_profile:Profiler.Profile.dep_profile ->
-  Ir.Prog.t ->
-  Ir.Region.t ->
-  finding list
-
 (** Lint the whole program: all regions plus the program-wide dominance
     and channel-ownership checks.  [dep_profiles] (keyed like
     {!Tlscore.Pipeline.compiled.dep_profiles}) enables the profile
-    coverage cross-check; [pointsto] as in {!run}. *)
+    coverage cross-check.  [pointsto] reuses a precomputed analysis of
+    [prog] (valid across instruction reorderings, which cannot change the
+    flow-insensitive facts); omitted, it is computed afresh. *)
 val run_prog :
   ?pointsto:Pointsto.t ->
   ?dep_profiles:

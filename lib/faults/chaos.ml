@@ -42,7 +42,11 @@ let compile ?profile_fault ?(sync_sched = false) p =
   Tlscore.Pipeline.compile ?selection ?profile_fault ~lint:false ~sync_sched
     ~source:p.p_source ~profile_input:p.p_train
     ~memory_sync:
-      (Tlscore.Pipeline.Profiled { dep_input = p.p_train; threshold = 0.05 })
+      (Tlscore.Pipeline.Profiled
+         {
+           dep_input = p.p_train;
+           threshold = Tlscore.Pipeline.default_threshold;
+         })
     ()
 
 (* Whether a fault's injection sites are even reachable under [cfg]:
@@ -84,13 +88,7 @@ let evaluate ~kind ~expected ?(armed = fun _ -> true) run =
          cycle)
   | exception e -> Failed (Printexc.to_string e)
 
-let run_program ?(log = fun _ -> ()) ?watchdog ?(sync_sched = false) ~modes
-    ~faults p =
-  let tune cfg =
-    match watchdog with
-    | None -> cfg
-    | Some w -> { cfg with Tls.Config.watchdog_window = w }
-  in
+let run_program ?(log = fun _ -> ()) ?(sync_sched = false) ~modes ~faults p =
   let seq_train = seq_output p.p_source p.p_train in
   let seq_ref = lazy (seq_output p.p_source p.p_ref) in
   let base = compile ~sync_sched p in
@@ -129,8 +127,7 @@ let run_program ?(log = fun _ -> ()) ?watchdog ?(sync_sched = false) ~modes
     { c_program = p.p_name; c_mode = mode; c_fault = fault; c_class = cls;
       c_outcome = outcome }
   in
-  let run_mode (mode_name, cfg0) =
-    let cfg = tune cfg0 in
+  let run_mode (mode_name, cfg) =
     let run_code ?(cfg = cfg) ?(input = p.p_train) code () =
       Tls.Sim.run cfg code ~input ()
     in
@@ -192,7 +189,7 @@ let run_program ?(log = fun _ -> ()) ?watchdog ?(sync_sched = false) ~modes
    job and replayed in program order once the whole matrix is done, so
    the bytes sent to [log] are identical whatever mapper runs the cells
    — the property the determinism suite pins. *)
-let run_matrix ?(log = fun _ -> ()) ?(map = fun f l -> List.map f l) ?watchdog
+let run_matrix ?(log = fun _ -> ()) ?(map = fun f l -> List.map f l)
     ?sync_sched ~modes ~faults programs =
   let per_program =
     map
@@ -201,7 +198,7 @@ let run_matrix ?(log = fun _ -> ()) ?(map = fun f l -> List.map f l) ?watchdog
         let cells =
           run_program
             ~log:(fun s -> lines := s :: !lines)
-            ?watchdog ?sync_sched ~modes ~faults p
+            ?sync_sched ~modes ~faults p
         in
         (List.rev !lines, cells))
       programs
@@ -350,19 +347,12 @@ let sweep_axis ~expected ~cfg ~code ~input ~program ~mode axis peak =
     in
     go (peak / 2)
 
-let run_capacity_program ?(log = fun _ -> ()) ?watchdog ?(sync_sched = false)
-    ~modes p =
-  let tune cfg =
-    match watchdog with
-    | None -> cfg
-    | Some w -> { cfg with Tls.Config.watchdog_window = w }
-  in
+let run_capacity_program ?(log = fun _ -> ()) ?(sync_sched = false) ~modes p =
   let expected = seq_output p.p_source p.p_train in
   let base = compile ~sync_sched p in
   let code = base.Tlscore.Pipeline.code in
   let input = p.p_train in
-  let run_mode (mode_name, cfg0) =
-    let cfg = tune cfg0 in
+  let run_mode (mode_name, cfg) =
     (* Unbounded baseline: harvest each resource's peak occupancy so the
        sweep starts from a limit the run is known to exceed. *)
     match Tls.Sim.run cfg code ~input () with
@@ -400,7 +390,7 @@ let run_capacity_program ?(log = fun _ -> ()) ?watchdog ?(sync_sched = false)
   cells
 
 let run_capacity ?(log = fun _ -> ()) ?(map = fun f l -> List.map f l)
-    ?watchdog ?sync_sched ~modes programs =
+    ?sync_sched ~modes programs =
   let per_program =
     map
       (fun p ->
@@ -408,7 +398,7 @@ let run_capacity ?(log = fun _ -> ()) ?(map = fun f l -> List.map f l)
         let cells =
           run_capacity_program
             ~log:(fun s -> lines := s :: !lines)
-            ?watchdog ?sync_sched ~modes p
+            ?sync_sched ~modes p
         in
         (List.rev !lines, cells))
       programs

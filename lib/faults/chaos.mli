@@ -41,14 +41,24 @@ type cell = {
 (** U, C, H, B. *)
 val default_modes : (string * Tls.Config.t) list
 
+(** Compile a program the way every chaos cell does: its train input
+    drives selection and the dependence profile (main's loops forced when
+    [p_select_main]), memory sync at {!Tlscore.Pipeline.default_threshold},
+    lint off.  [profile_fault] and [sync_sched] as in
+    {!Tlscore.Pipeline.compile}. *)
+val compile :
+  ?profile_fault:
+    (Profiler.Profile.dep_profile -> Profiler.Profile.dep_profile) ->
+  ?sync_sched:bool ->
+  program ->
+  Tlscore.Pipeline.compiled
+
 (** All cells for one program: the baseline plus every fault in [faults],
-    under every mode.  [watchdog] overrides the watchdog window;
-    [sync_sched] compiles every artifact (baseline, profile-fault
-    recompiles, IR-mutation bases) with the sync scheduler on (default
-    false). *)
+    under every mode.  [sync_sched] compiles every artifact (baseline,
+    profile-fault recompiles, IR-mutation bases) with the sync scheduler
+    on (default false). *)
 val run_program :
   ?log:(string -> unit) ->
-  ?watchdog:int ->
   ?sync_sched:bool ->
   modes:(string * Tls.Config.t) list ->
   faults:Fault.spec list ->
@@ -65,7 +75,6 @@ val run_matrix :
   ?map:((program -> string list * cell list) ->
         program list ->
         (string list * cell list) list) ->
-  ?watchdog:int ->
   ?sync_sched:bool ->
   modes:(string * Tls.Config.t) list ->
   faults:Fault.spec list ->
@@ -129,7 +138,6 @@ val run_capacity :
   ?map:((program -> string list * capacity_cell list) ->
         program list ->
         (string list * capacity_cell list) list) ->
-  ?watchdog:int ->
   ?sync_sched:bool ->
   modes:(string * Tls.Config.t) list ->
   program list ->

@@ -32,10 +32,6 @@ let catalog =
 
 let find name = List.find_opt (fun s -> String.equal s.sf_name name) catalog
 
-let request_level = function
-  | Slow_job | Transient_io | Always_transient -> true
-  | Cache_corrupt | Burst -> false
-
 let expectation_name = function
   | Expect_absorbed -> "absorbable"
   | Expect_degraded -> "degradable"

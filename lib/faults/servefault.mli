@@ -49,8 +49,4 @@ val catalog : spec list
 
 val find : string -> spec option
 
-(** True for kinds injected via a request's ["fault"] field (the
-    executor hooks); false for the harness-level kinds. *)
-val request_level : kind -> bool
-
 val expectation_name : expectation -> string

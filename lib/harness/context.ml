@@ -10,7 +10,8 @@ type t = {
   mutable oracle_c : Tls.Oracle.t option;
 }
 
-let make ?(threshold = 0.05) (w : Workloads.Workload.t) =
+let make (w : Workloads.Workload.t) =
+  let threshold = Tlscore.Pipeline.default_threshold in
   let source = w.Workloads.Workload.source in
   let train = w.Workloads.Workload.train_input in
   let ref_input = w.Workloads.Workload.ref_input in

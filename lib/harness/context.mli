@@ -24,9 +24,9 @@ type t = {
 }
 
 (** Build everything for one workload (compiles, profiles, sequential
-    timing).  [threshold] is the synchronization frequency threshold
-    (default 0.05, the paper's 5%). *)
-val make : ?threshold:float -> Workloads.Workload.t -> t
+    timing).  Both memory-sync builds use the paper's 5% threshold,
+    {!Tlscore.Pipeline.default_threshold}. *)
+val make : Workloads.Workload.t -> t
 
 val oracle_for_u : t -> Tls.Oracle.t
 val oracle_for_c : t -> Tls.Oracle.t

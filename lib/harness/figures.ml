@@ -343,7 +343,10 @@ let ablations ?(pool = Jobs.serial) (ctxs : Context.t list) =
               ~profile_input:w.Workloads.Workload.train_input
               ~memory_sync:
                 (Tlscore.Pipeline.Profiled
-                   { dep_input = w.Workloads.Workload.ref_input; threshold = 0.05 })
+                   {
+                     dep_input = w.Workloads.Workload.ref_input;
+                     threshold = Tlscore.Pipeline.default_threshold;
+                   })
               ()
           in
           let eager = Context.run ctx Tls.Config.c_mode ctx.Context.c () in

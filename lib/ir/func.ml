@@ -61,19 +61,6 @@ let reg_name f r =
   | Some n -> n
   | None -> Printf.sprintf "r%d" r
 
-let copy_with_iids ~fresh_iid ~new_name f =
-  let copy_instr (i : Instr.t) = { i with Instr.iid = fresh_iid () } in
-  let copy_block b =
-    { instrs = List.map copy_instr b.instrs; term = b.term }
-  in
-  {
-    name = new_name;
-    params = f.params;
-    nregs = f.nregs;
-    blocks = Array.map copy_block f.blocks;
-    reg_names = Hashtbl.copy f.reg_names;
-  }
-
 let clone f =
   {
     f with

@@ -42,10 +42,6 @@ val iter_instrs : t -> (Instr.label -> Instr.t -> unit) -> unit
 (** Debug name of a register, or ["r<n>"]. *)
 val reg_name : t -> Instr.reg -> string
 
-(** Structural copy with fresh instruction ids obtained from [fresh_iid].
-    The copy shares no mutable state with the original. *)
-val copy_with_iids : fresh_iid:(unit -> Instr.iid) -> new_name:string -> t -> t
-
 (** Structural copy that keeps instruction ids.  Blocks are fresh records
     so mutating the clone's instruction lists leaves the original intact;
     the (immutable) instructions themselves are shared. *)

@@ -10,7 +10,6 @@ type t = {
 }
 
 let globals_base = 4096
-let words_per_line = 8
 
 let sizeof_with sizes (ty : Lang.Ast.ty) =
   match ty with

@@ -11,9 +11,6 @@ type t
 (** Base address of the global segment. *)
 val globals_base : int
 
-(** Words per cache line (32-byte lines, 4-byte words — Table 1). *)
-val words_per_line : int
-
 (** Build the layout from the checked program. *)
 val build : Lang.Tast.tprogram -> t
 

@@ -53,12 +53,6 @@ let fresh_channel t =
   t.next_channel <- ch + 1;
   ch
 
-let region_at t fname header =
-  List.find_opt
-    (fun (r : Region.t) ->
-      String.equal r.Region.func fname && r.Region.header = header)
-    t.regions
-
 let clone t =
   let funcs = List.map (fun (name, f) -> (name, Func.clone f)) t.funcs in
   let by_name = Hashtbl.create 64 in

@@ -39,9 +39,6 @@ val fresh_region_id : t -> int
     those of a (sequentially executed) nested region. *)
 val fresh_channel : t -> Instr.channel
 
-(** Region whose loop lives at [(func, header)], if any. *)
-val region_at : t -> string -> Instr.label -> Region.t option
-
 (** Copy with independently mutable functions/blocks but the same
     instruction ids, so profiles and region metadata keyed by iid still
     apply.  Regions and layout are shared with the original; intended for

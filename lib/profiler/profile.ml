@@ -82,7 +82,7 @@ let pp_access a =
     Printf.sprintf "i%d@[%s]" a.a_iid
       (String.concat ">" (List.map string_of_int ctx))
 
-let to_dot ?(threshold = 0.05) dp =
+let to_dot ~threshold dp =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph dependences {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n";

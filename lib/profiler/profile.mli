@@ -77,4 +77,4 @@ val pp_access : access -> string
     recorded dependence labelled with its epoch frequency.  Edges at or
     above [threshold] are drawn solid (they form the synchronization
     groups); infrequent ones dashed. *)
-val to_dot : ?threshold:float -> dep_profile -> string
+val to_dot : threshold:float -> dep_profile -> string

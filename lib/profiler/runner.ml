@@ -254,11 +254,9 @@ let all_loops (prog : Ir.Prog.t) =
         (Dataflow.Loops.find f))
     prog.Ir.Prog.funcs
 
-exception Step_limit of { max_steps : int; icount : int }
+let max_steps = 200_000_000
 
-exception Unexpected_stop of { reason : string; icount : int }
-
-let run ?(max_steps = 200_000_000) (prog : Ir.Prog.t) ~input ~watch =
+let run (prog : Ir.Prog.t) ~input ~watch =
   let code = Runtime.Code.of_prog prog in
   let func_loops = Hashtbl.create 64 in
   let loop_bodies = Hashtbl.create 64 in
@@ -316,7 +314,9 @@ let run ?(max_steps = 200_000_000) (prog : Ir.Prog.t) ~input ~watch =
   let t = Runtime.Thread.create code ~func_name:"main" ~input in
   let rec loop () =
     if t.Runtime.Thread.icount > max_steps then
-      raise (Step_limit { max_steps; icount = t.Runtime.Thread.icount });
+      raise
+        (Runtime.Thread.Step_limit
+           { max_steps; icount = t.Runtime.Thread.icount });
     match Runtime.Thread.step t hooks with
     | Runtime.Thread.Ran (Runtime.Thread.Exec i) ->
       (match i.Ir.Instr.kind with
@@ -333,9 +333,9 @@ let run ?(max_steps = 200_000_000) (prog : Ir.Prog.t) ~input ~watch =
       loop ()
     | Runtime.Thread.Blocked | Runtime.Thread.Suspended ->
       raise
-        (Unexpected_stop
+        (Runtime.Thread.Unexpected_stop
            {
-             reason = "blocked or suspended during sequential profiling";
+             reason = "blocked or suspended while profiling";
              icount = t.Runtime.Thread.icount;
            })
     | Runtime.Thread.Finished _ ->

@@ -10,19 +10,13 @@
     instrumentation tool; it observes the same events (every load, store,
     and loop back edge). *)
 
-(** Raised by {!run} when the profiled execution exceeds its step budget. *)
-exception Step_limit of { max_steps : int; icount : int }
-
-(** Raised by {!run} if the profiled (sequential) execution blocks or
-    suspends — impossible for well-formed programs under sequential hooks. *)
-exception Unexpected_stop of { reason : string; icount : int }
-
 (** [run prog ~input ~watch] profiles one execution.
     @param watch loops to collect dependence profiles for (may be empty).
-    @raise Step_limit if execution exceeds [max_steps] (default 200M).
-    @raise Unexpected_stop if execution blocks. *)
+    @raise Runtime.Thread.Step_limit if execution exceeds its budget of
+    200M instructions.
+    @raise Runtime.Thread.Unexpected_stop if execution blocks or suspends
+    — impossible for well-formed programs under sequential hooks. *)
 val run :
-  ?max_steps:int ->
   Ir.Prog.t ->
   input:int array ->
   watch:Profile.loop_key list ->

@@ -44,9 +44,3 @@ let of_prog (p : Ir.Prog.t) : t =
   }
 
 let func t name = Hashtbl.find t.funcs name
-
-let region_at t fname header =
-  List.find_opt
-    (fun (r : Ir.Region.t) ->
-      String.equal r.Ir.Region.func fname && r.Ir.Region.header = header)
-    t.regions

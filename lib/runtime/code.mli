@@ -27,6 +27,3 @@ val of_prog : Ir.Prog.t -> t
 
 (** @raise Not_found on unknown function. *)
 val func : t -> string -> cfunc
-
-(** Region keyed by (function, header), if one is registered. *)
-val region_at : t -> string -> Ir.Instr.label -> Ir.Region.t option

@@ -80,13 +80,14 @@ val next_instr : t -> Ir.Instr.t option
 (** Output in print order. *)
 val output : t -> int list
 
-(** Raised by {!run_sequential} when the step budget is exhausted (a
-    non-terminating program, or a budget set too low for the workload). *)
+(** Raised by {!run_sequential} and by the profiler's runner when the step
+    budget is exhausted (a non-terminating program, or a budget set too
+    low for the workload). *)
 exception Step_limit of { max_steps : int; icount : int }
 
-(** Raised by {!run_sequential} when the thread blocks or suspends: under
-    pure sequential hooks neither can happen, so this indicates malformed
-    code or hooks (the reason is ["blocked"] or ["suspended"]). *)
+(** Raised by {!run_sequential} and by the profiler's runner when the
+    thread blocks or suspends: under pure sequential hooks neither can
+    happen, so this indicates malformed code or hooks. *)
 exception Unexpected_stop of { reason : string; icount : int }
 
 (** Run under sequential hooks until finished or [max_steps] is hit;

@@ -24,7 +24,7 @@ let base_request ?fault ?deadline ?tick ~id name =
     rq_source = None;
     rq_input = None;
     rq_mode = "C";
-    rq_threshold = 0.05;
+    rq_threshold = Tlscore.Pipeline.default_threshold;
     rq_sync_sched = false;
     rq_tick = tick;
     rq_deadline_s = deadline;

@@ -103,7 +103,7 @@ let parse_obj j =
   let* threshold =
     let* t = Json.opt_num j "threshold" in
     match t with
-    | None -> Ok 0.05
+    | None -> Ok Tlscore.Pipeline.default_threshold
     | Some t when t >= 0.0 && t <= 1.0 -> Ok t
     | Some t -> Error (Printf.sprintf "\"threshold\" %g out of [0,1]" t)
   in

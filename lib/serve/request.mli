@@ -28,7 +28,7 @@ type t = {
   rq_source : string option;
   rq_input : int list option; (* None = benchmark reference input *)
   rq_mode : string;           (* a label of Tls.Config.modes; default C *)
-  rq_threshold : float;       (* memory-sync threshold; default 0.05 *)
+  rq_threshold : float;       (* default Tlscore.Pipeline.default_threshold *)
   rq_sync_sched : bool;
   rq_tick : int option;       (* admission tick; default arrival index *)
   rq_deadline_s : float option;

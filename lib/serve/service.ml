@@ -231,13 +231,11 @@ let classify = function
         where cycle max_cycles )
   | Tls.Sim.Resource_deadlock d ->
     ("resource-deadlock", Tls.Sim.describe_resource_deadlock d)
-  | Runtime.Thread.Step_limit { max_steps; icount }
-  | Profiler.Runner.Step_limit { max_steps; icount } ->
+  | Runtime.Thread.Step_limit { max_steps; icount } ->
     ( "step-limit",
       Printf.sprintf "step budget exhausted: %d instructions (limit %d)"
         icount max_steps )
-  | Runtime.Thread.Unexpected_stop { reason; icount }
-  | Profiler.Runner.Unexpected_stop { reason; icount } ->
+  | Runtime.Thread.Unexpected_stop { reason; icount } ->
     ( "malformed-sequential",
       Printf.sprintf "sequential thread %s after %d instructions" reason
         icount )

@@ -52,7 +52,6 @@ type t = {
   forward_timing : forward_timing;
   sim_faults : sim_fault list;
   watchdog_window : int;
-  protocol_checks : bool;
   max_cycles : int;
   sig_buffer_entries : int;
   spec_lines_per_epoch : int;
@@ -96,7 +95,6 @@ let default =
     forward_timing = Forward_normal;
     sim_faults = [];
     watchdog_window = 50_000;
-    protocol_checks = true;
     max_cycles = 2_000_000_000;
     sig_buffer_entries = max_int;
     spec_lines_per_epoch = max_int;

@@ -110,14 +110,11 @@ type t = {
   sim_faults : sim_fault list;     (* injected faults (normally []) *)
   watchdog_window : int;           (* cycles without graduation or commit
                                       before the simulator raises Stuck *)
-  protocol_checks : bool;
-      (* dynamic sync-protocol checks, e.g. a Sync_load consuming a
-         channel no Wait_mem ever waited on raises Stuck rather than
-         silently degrading to a speculative load *)
   max_cycles : int;
-      (* cycle budget of a single {!Sim.run} / {!Sim.run_sequential};
-         exceeding it raises {e Cycle_limit}.  The chaos and bench
-         harnesses tighten it uniformly through this knob. *)
+      (* the cycle budget of a single {!Sim.run} / {!Sim.run_sequential},
+         and the only one; exceeding it raises {e Cycle_limit}.
+         [--max-cycles] on [mrvcc simulate], [analyze] and [chaos]
+         tightens it. *)
   (* Finite-hardware resource model (DESIGN §12).  The defaults are
      [max_int], i.e. today's effectively-unbounded structures; finite
      values enable graceful degradation, never divergence. *)

@@ -10,10 +10,10 @@
 
 include Simdiag
 
-let run ?max_cycles cfg code ~input ?oracle () =
+let run cfg code ~input ?oracle () =
   match cfg.Config.engine with
-  | Config.Engine_ref -> Sim_ref.run ?max_cycles cfg code ~input ?oracle ()
-  | Config.Engine_event -> Sim_event.run ?max_cycles cfg code ~input ?oracle ()
+  | Config.Engine_ref -> Sim_ref.run cfg code ~input ?oracle ()
+  | Config.Engine_event -> Sim_event.run cfg code ~input ?oracle ()
 
 (* The sequential timed run has no per-epoch hot path; the reference
    implementation serves both engines. *)

@@ -39,7 +39,8 @@ type stuck_reason =
       (** A [Sync_load] consumed a channel nothing was ever received on,
           i.e. no dominating [Wait_mem] ran — the dynamic counterpart of
           synclint's dominance check.  Only raised under [Forward_normal]
-          with filtering off and {!Config.t.protocol_checks} set. *)
+          with {!Config.t.filter_useless_sync} off, since filtering
+          legitimately elides waits. *)
 
 (** Why and where a TLS region wedged: the typed diagnostic carried by
     {!Stuck} (DESIGN §11). *)
@@ -57,7 +58,7 @@ type stuck_diag = {
 exception Stuck of stuck_diag
 
 (** Raised by {!run} / {!run_sequential} when the cycle budget
-    ([?max_cycles], defaulting to {!Config.t.max_cycles}) is exhausted —
+    {!Config.t.max_cycles} is exhausted —
     a genuinely non-terminating program, since protocol failures surface
     as {!Stuck} or {!Deadlock} long before. *)
 exception Cycle_limit of { max_cycles : int; cycle : int; where : string }
@@ -93,12 +94,11 @@ val describe_resource_deadlock : resource_diag -> string
     waits on a channel its completed predecessor never signaled).
     @raise Stuck when a region makes no progress for
     [cfg.watchdog_window] cycles or a protocol check fails.
-    @raise Cycle_limit when the cycle budget — [max_cycles] if given,
-    else [cfg.max_cycles] — is exhausted.
+    @raise Cycle_limit when the cycle budget [cfg.max_cycles] is
+    exhausted.
     @raise Resource_deadlock when a finite forwarding queue backpressures
     a producer into a cycle (detected at watchdog expiry). *)
 val run :
-  ?max_cycles:int ->
   Config.t ->
   Runtime.Code.t ->
   input:int array ->
@@ -108,9 +108,10 @@ val run :
 
 (** Sequential timed run (1 processor, same pipeline/cache model), tracking
     cycles inside the loop extents of [track] — used to time the original
-    program as the normalization baseline. *)
+    program as the normalization baseline.
+    @raise Cycle_limit when the cycle budget [cfg.max_cycles] is
+    exhausted. *)
 val run_sequential :
-  ?max_cycles:int ->
   Config.t ->
   Runtime.Code.t ->
   input:int array ->

@@ -1027,10 +1027,7 @@ let epoch_step sim st e =
                   note_channel_outcome sim ch ~matched:false;
                   speculative_load sim st e iid addr
                 | exception Not_found ->
-                  if
-                    sim.cfg.Config.protocol_checks
-                    && not sim.cfg.Config.filter_useless_sync
-                  then
+                  if not sim.cfg.Config.filter_useless_sync then
                     raise
                       (Stuck
                          (stuck_diag_of sim st
@@ -2017,26 +2014,9 @@ let create_sim cfg code ~input ~oracle =
     step_rv = None;
   }
 
-let with_runtime_counters f =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let v = f () in
-  let g1 = Gc.quick_stat () in
-  let rt =
-    {
-      Simstats.rt_wall_ns =
-        int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
-      rt_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      rt_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    }
-  in
-  (v, rt)
-
-let run ?max_cycles cfg code ~input ?oracle () =
-  let max_cycles =
-    match max_cycles with Some m -> m | None -> cfg.Config.max_cycles
-  in
-  let result, runtime = with_runtime_counters @@ fun () ->
+let run cfg code ~input ?oracle () =
+  let max_cycles = cfg.Config.max_cycles in
+  let result, runtime = Simstats.with_runtime_counters @@ fun () ->
   let sim = create_sim cfg code ~input ~oracle in
   while not sim.finished do
     if sim.cycle > max_cycles then

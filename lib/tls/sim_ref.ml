@@ -763,10 +763,7 @@ let epoch_hooks sim st e : Runtime.Thread.hooks =
                    protocol is broken (e.g. a dropped wait).  Filtering
                    legitimately elides waits, so the check only applies
                    when it is off. *)
-                if
-                  sim.cfg.Config.protocol_checks
-                  && not sim.cfg.Config.filter_useless_sync
-                then
+                if not sim.cfg.Config.filter_useless_sync then
                   raise
                     (Stuck
                        (stuck_diag_of sim st (Missing_wait { channel = ch; iid })))
@@ -1500,29 +1497,9 @@ let create_sim cfg code ~input ~oracle ~tls_enabled =
     resources = Simstats.fresh_resources ();
   }
 
-(* Host-side measurement of one run: wall time and words allocated.
-   [Gc.minor_words]/[Gc.major_words] are cumulative per-domain counters,
-   so the difference is what [f] itself allocated. *)
-let with_runtime_counters f =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let v = f () in
-  let g1 = Gc.quick_stat () in
-  let rt =
-    {
-      Simstats.rt_wall_ns =
-        int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
-      rt_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      rt_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    }
-  in
-  (v, rt)
-
-let run ?max_cycles cfg code ~input ?oracle () =
-  let max_cycles =
-    match max_cycles with Some m -> m | None -> cfg.Config.max_cycles
-  in
-  let result, runtime = with_runtime_counters @@ fun () ->
+let run cfg code ~input ?oracle () =
+  let max_cycles = cfg.Config.max_cycles in
+  let result, runtime = Simstats.with_runtime_counters @@ fun () ->
   let sim = create_sim cfg code ~input ~oracle ~tls_enabled:true in
   let hooks = seq_hooks sim in
   while not sim.finished do
@@ -1624,11 +1601,9 @@ let extent_goto st fname target =
     in
     st.ex_stack <- actives :: rest
 
-let run_sequential ?max_cycles cfg code ~input ~track =
-  let max_cycles =
-    match max_cycles with Some m -> m | None -> cfg.Config.max_cycles
-  in
-  let result, runtime = with_runtime_counters @@ fun () ->
+let run_sequential cfg code ~input ~track =
+  let max_cycles = cfg.Config.max_cycles in
+  let result, runtime = Simstats.with_runtime_counters @@ fun () ->
   let sim = create_sim cfg code ~input ~oracle:None ~tls_enabled:false in
   let ex_by_func = Hashtbl.create 8 in
   List.iter

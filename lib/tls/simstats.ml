@@ -49,6 +49,25 @@ type runtime_counters = {
 
 let no_runtime = { rt_wall_ns = 0; rt_minor_words = 0.0; rt_major_words = 0.0 }
 
+(* Measure one run of either engine.  [Gc.counters] reads the calling
+   domain's cumulative counters including its current minor heap, so the
+   difference is what [f] itself allocated.  [Gc.quick_stat] would not
+   do: OCaml 5 updates it only at minor collections, so a run that fits
+   between two read 0 words. *)
+let with_runtime_counters f =
+  let t0 = Unix.gettimeofday () in
+  let minor0, _, major0 = Gc.counters () in
+  let v = f () in
+  let minor1, _, major1 = Gc.counters () in
+  let rt =
+    {
+      rt_wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+      rt_minor_words = minor1 -. minor0;
+      rt_major_words = major1 -. major0;
+    }
+  in
+  (v, rt)
+
 (* Finite-resource accounting (DESIGN §12): degradation events and peak
    occupancies of the bounded hardware structures.  Deterministic for a
    given configuration, but — like [runtime] — excluded from fingerprints:

@@ -15,21 +15,22 @@ type compiled = {
   sched_stats : Analysis.Syncsched.stats;
 }
 
+let default_threshold = 0.05
+
 let original ~source = Ir.Lower.compile_source source
 
-let compile ?thresholds ?selection ?(unroll = true) ?(optimize = false)
-    ?(eager_signals = true) ?(lint = true) ?(sync_sched = false)
-    ?profile_fault ~source ~profile_input ~memory_sync () =
+let compile ?selection ?(unroll = true) ?(eager_signals = true) ?(lint = true)
+    ?(sync_sched = false) ?profile_fault ~source ~profile_input ~memory_sync
+    () =
   (* Profile the untransformed program. *)
   let reference = Ir.Lower.compile_source source in
-  if optimize then ignore (Ir.Opt.run reference);
   let loop_profile =
     Profiler.Runner.run reference ~input:profile_input ~watch:[]
   in
   let selected =
     match selection with
     | Some keys -> keys
-    | None -> Selection.select ?thresholds reference loop_profile
+    | None -> Selection.select reference loop_profile
   in
   (* Small-loop unrolling (paper §3.1), applied identically to the
      reference (so dependence profiling sees unrolled epochs) and to the
@@ -76,7 +77,6 @@ let compile ?thresholds ?selection ?(unroll = true) ?(optimize = false)
   in
   (* Transform a fresh compile of the same source. *)
   let prog = Ir.Lower.compile_source source in
-  if optimize then ignore (Ir.Opt.run prog);
   apply_unrolling prog;
   let regions_and_infos =
     List.map (fun key -> (key, Regions.create prog key)) selected

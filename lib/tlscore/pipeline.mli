@@ -13,6 +13,12 @@ type memory_sync =
   (* Profile dependences on this input, synchronize deps above threshold. *)
   | Profiled of { dep_input : int array; threshold : float }
 
+(** The paper's synchronization threshold (§2.4): a memory dependence
+    occurring in at least 5% of a region's epochs is synchronized.  Every
+    default threshold in the CLI, the serve protocol, the harnesses and
+    the figures reads this value. *)
+val default_threshold : float
+
 type compiled = {
   prog : Ir.Prog.t;
   code : Runtime.Code.t;
@@ -38,9 +44,6 @@ type compiled = {
     @param unroll applies the paper's small-loop unrolling (default true);
     dependence profiling then runs on the unrolled program, so epochs and
     frequencies refer to unrolled iterations.
-    @param optimize runs the scalar optimizer (fold/copy-prop/DCE) on both
-    compiles before any profiling or transformation (default false, so the
-    calibrated workload timings are those reported in EXPERIMENTS.md).
     @param eager_signals see {!Memsync.apply} (ablation knob).
     @param lint run {!Analysis.Synclint} on the transformed program and
     report its findings in [lint_findings] (default true; findings never
@@ -56,10 +59,8 @@ type compiled = {
     points-to analysis.
     The resulting program is always checked by {!Ir.Verify}. *)
 val compile :
-  ?thresholds:Selection.thresholds ->
   ?selection:Profiler.Profile.loop_key list ->
   ?unroll:bool ->
-  ?optimize:bool ->
   ?eager_signals:bool ->
   ?lint:bool ->
   ?sync_sched:bool ->

@@ -285,7 +285,7 @@ let create (prog : Ir.Prog.t) (key : Profiler.Profile.loop_key) =
         | Eager | At_latch -> [])
       plans
   in
-  Edit.prepend f header (waits @ hoisted);
+  Ir.Edit.prepend f header (waits @ hoisted);
   (* Non-hoisted signals. *)
   List.iter
     (fun p ->
@@ -307,10 +307,10 @@ let create (prog : Ir.Prog.t) (key : Profiler.Profile.loop_key) =
             None p.p_sites
         in
         (match last with
-        | Some (_, iid) -> Edit.insert_after f ~anchor:iid [ mk_signal () ]
-        | None -> List.iter (fun l -> Edit.append f l [ mk_signal () ]) latches)
+        | Some (_, iid) -> Ir.Edit.insert_after f ~anchor:iid [ mk_signal () ]
+        | None -> List.iter (fun l -> Ir.Edit.append f l [ mk_signal () ]) latches)
       | At_latch ->
-        List.iter (fun l -> Edit.append f l [ mk_signal () ]) latches)
+        List.iter (fun l -> Ir.Edit.append f l [ mk_signal () ]) latches)
     plans;
   let scalar_channels =
     List.map

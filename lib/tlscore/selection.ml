@@ -1,17 +1,8 @@
-type thresholds = {
-  min_coverage : float;
-  min_epochs_per_instance : float;
-  min_instrs_per_epoch : float;
-  num_procs : int;
-}
-
-let default_thresholds =
-  {
-    min_coverage = 0.001;
-    min_epochs_per_instance = 1.5;
-    min_instrs_per_epoch = 15.0;
-    num_procs = 4;
-  }
+(* The paper's filters (§3.1) and its 4-processor machine. *)
+let min_coverage = 0.001
+let min_epochs_per_instance = 1.5
+let min_instrs_per_epoch = 15.0
+let num_procs = 4
 
 type candidate = {
   key : Profiler.Profile.loop_key;
@@ -21,8 +12,7 @@ type candidate = {
   benefit : float;
 }
 
-let candidates ?(thresholds = default_thresholds) (prog : Ir.Prog.t)
-    (profile : Profiler.Profile.t) =
+let candidates (prog : Ir.Prog.t) (profile : Profiler.Profile.t) =
   let all = Profiler.Runner.all_loops prog in
   List.filter_map
     (fun key ->
@@ -48,16 +38,16 @@ let candidates ?(thresholds = default_thresholds) (prog : Ir.Prog.t)
           > stats.Profiler.Profile.instances
         in
         if
-          coverage >= thresholds.min_coverage
-          && epochs_per_instance >= thresholds.min_epochs_per_instance
-          && instrs_per_epoch >= thresholds.min_instrs_per_epoch
+          coverage >= min_coverage
+          && epochs_per_instance >= min_epochs_per_instance
+          && instrs_per_epoch >= min_instrs_per_epoch
           && (not mostly_nested)
           && not (Regions.scalar_serialized prog key)
         then begin
           (* Achievable overlap: bounded by both the processor count and the
              average number of epochs available per instance. *)
           let overlap =
-            Float.min (float_of_int thresholds.num_procs) epochs_per_instance
+            Float.min (float_of_int num_procs) epochs_per_instance
           in
           let benefit = coverage *. (1.0 -. (1.0 /. overlap)) in
           Some { key; coverage; epochs_per_instance; instrs_per_epoch; benefit }
@@ -82,8 +72,8 @@ let overlaps prog a b =
       la.Dataflow.Loops.body
   | _, _ -> false
 
-let select ?(thresholds = default_thresholds) prog profile =
-  let cands = candidates ~thresholds prog profile in
+let select prog profile =
+  let cands = candidates prog profile in
   let chosen = ref [] in
   List.iter
     (fun c ->

@@ -107,8 +107,10 @@ let apply (prog : Ir.Prog.t) (key : Profiler.Profile.loop_key) ~factor =
   chain copies;
   (factor - 1) * List.length body
 
-let suggested_factor ?(target_epoch_size = 40.0) ?(max_factor = 4) profile key
-    =
+let target_epoch_size = 40.0
+let max_factor = 4
+
+let suggested_factor profile key =
   let stats = Profiler.Profile.stats profile key in
   if stats.Profiler.Profile.iterations = 0 then 1
   else begin

@@ -19,12 +19,6 @@
 val apply : Ir.Prog.t -> Profiler.Profile.loop_key -> factor:int -> int
 
 (** Unroll factor suggested by the loop profile: small epochs are unrolled
-    until they reach roughly [target_epoch_size] (default 40) dynamic
-    instructions, capped at [max_factor] (default 4); loops already big
-    enough return 1. *)
-val suggested_factor :
-  ?target_epoch_size:float ->
-  ?max_factor:int ->
-  Profiler.Profile.t ->
-  Profiler.Profile.loop_key ->
-  int
+    until they reach roughly 40 dynamic instructions, capped at a factor
+    of 4; loops already big enough return 1. *)
+val suggested_factor : Profiler.Profile.t -> Profiler.Profile.loop_key -> int

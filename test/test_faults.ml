@@ -260,17 +260,29 @@ let watchdog_boundary_is_exact () =
   check_int "window+1 run: same last-progress cycle" p (at_wp1 - (w + 1) - 1);
   check_bool "progress happened before the wedge" true (p > 0)
 
+(* [Config.t.max_cycles] is the one cycle budget: both the TLS run and
+   the sequential timed run stop on it, under either engine. *)
 let cycle_budget_is_typed () =
-  let compiled = compile_synced chain_src [||] in
-  match
-    Tls.Sim.run ~max_cycles:100 Tls.Config.u_mode
-      compiled.Tlscore.Pipeline.code ~input:[||] ()
-  with
-  | _ -> Alcotest.fail "expected Cycle_limit"
-  | exception Tls.Sim.Cycle_limit { max_cycles; cycle; where } ->
-    check_int "budget carried" 100 max_cycles;
-    check_bool "cycle at/above budget" true (cycle >= 100);
-    Alcotest.(check string) "raised by run" "Sim.run" where
+  let code = (compile_synced chain_src [||]).Tlscore.Pipeline.code in
+  let expect_limit label expected_where f =
+    match f () with
+    | () -> Alcotest.fail (label ^ ": expected Cycle_limit")
+    | exception Tls.Sim.Cycle_limit { max_cycles; cycle; where } ->
+      check_int (label ^ ": budget carried") 100 max_cycles;
+      check_bool (label ^ ": cycle at/above budget") true (cycle >= 100);
+      Alcotest.(check string) (label ^ ": raised by") expected_where where
+  in
+  List.iter
+    (fun (engine_name, engine) ->
+      let cfg =
+        { Tls.Config.u_mode with Tls.Config.max_cycles = 100; engine }
+      in
+      expect_limit (engine_name ^ " run") "Sim.run" (fun () ->
+          ignore (Tls.Sim.run cfg code ~input:[||] ()));
+      expect_limit (engine_name ^ " run_sequential") "Sim.run_sequential"
+        (fun () ->
+          ignore (Tls.Sim.run_sequential cfg code ~input:[||] ~track:[])))
+    [ ("ref", Tls.Config.Engine_ref); ("event", Tls.Config.Engine_event) ]
 
 (* ------------------------------------------------------------------ *)
 (* Absorbable simulator faults: sequential equivalence must hold       *)

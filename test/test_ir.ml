@@ -237,72 +237,8 @@ let arith_matches_eval =
       = [ eval e ])
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer and verifier                                              *)
+(* Verifier                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let opt_preserves name src input =
-  let reference = run_src ~input src in
-  let prog = Ir.Lower.compile_source src in
-  let simplified = Ir.Opt.run prog in
-  Ir.Verify.check_exn prog;
-  let code = Runtime.Code.of_prog prog in
-  let mem = Runtime.Memory.create () in
-  let optimized = Runtime.Thread.run_sequential code ~input mem in
-  Alcotest.(check (list int)) (name ^ ": semantics preserved") reference optimized;
-  simplified
-
-let opt_semantics () =
-  let n1 =
-    opt_preserves "folding"
-      "void main() { print(2 + 3 * 4); print((1 << 6) - 1); }" [||]
-  in
-  check_bool "folded something" true (n1 > 0);
-  ignore
-    (opt_preserves "control"
-       "int g; void main() { int i; for (i = 0; i < 9; i = i + 1) { if (i % 2 \
-        == 0) { g = g + i * 2; } } print(g); }"
-       [||]);
-  ignore
-    (opt_preserves "calls and memory"
-       "int a[16]; int f(int x) { return x * 3 + 1; } void main() { int i; \
-        for (i = 0; i < 16; i = i + 1) { a[i] = f(i); } print(a[7]); }"
-       [||]);
-  ignore
-    (opt_preserves "input" "void main() { print(in(0) + in(1) * 0); }"
-       [| 5; 9 |])
-
-let opt_folds_constants () =
-  let prog = Ir.Lower.compile_source "void main() { print(2 + 3 * 4); }" in
-  let before = Ir.Prog.static_size prog in
-  ignore (Ir.Opt.run prog);
-  let after = Ir.Prog.static_size prog in
-  check_bool "smaller" true (after < before);
-  (* The remaining print argument must be an immediate. *)
-  let f = Ir.Prog.func prog "main" in
-  let found = ref false in
-  Ir.Func.iter_instrs f (fun _ i ->
-      match i.Ir.Instr.kind with
-      | Ir.Instr.Print (Ir.Instr.Imm 14) -> found := true
-      | _ -> ());
-  check_bool "print of folded constant" true !found
-
-let opt_dce_keeps_effects () =
-  let prog =
-    Ir.Lower.compile_source
-      "int g; void main() { int dead; dead = 3 * 7; g = 5; print(g); }"
-  in
-  ignore (Ir.Opt.run prog);
-  let f = Ir.Prog.func prog "main" in
-  let stores = ref 0 and prints = ref 0 in
-  Ir.Func.iter_instrs f (fun _ i ->
-      match i.Ir.Instr.kind with
-      | Ir.Instr.Store _ -> incr stores
-      | Ir.Instr.Print _ -> incr prints
-      | _ -> ());
-  check_int "store kept" 1 !stores;
-  check_int "print kept" 1 !prints
-
-
 
 let verify_catches_bad_register () =
   let f = Ir.Func.create "broken" [] in
@@ -421,12 +357,6 @@ let () =
           Alcotest.test_case "div by zero" `Quick lower_div_by_zero;
           Alcotest.test_case "uninitialized locals" `Quick lower_uninitialized_locals;
           QCheck_alcotest.to_alcotest arith_matches_eval;
-        ] );
-      ( "optimizer",
-        [
-          Alcotest.test_case "semantics" `Quick opt_semantics;
-          Alcotest.test_case "folds constants" `Quick opt_folds_constants;
-          Alcotest.test_case "DCE keeps effects" `Quick opt_dce_keeps_effects;
         ] );
       ( "verifier",
         [

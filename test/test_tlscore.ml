@@ -525,29 +525,6 @@ let memsync_region_groups_registered () =
     check_int "one store" 1 (List.length mg.Ir.Region.mg_stores)
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 region, got %d" (List.length rs))
 
-let pipeline_optimize_flag () =
-  (* The optimizer runs before profiling/transformation and must preserve
-     both semantics and the synchronization machinery. *)
-  let c =
-    Tlscore.Pipeline.compile ~optimize:true ~source:memsync_src
-      ~profile_input:[||]
-      ~memory_sync:(Tlscore.Pipeline.Profiled { dep_input = [||]; threshold = 0.05 })
-      ()
-  in
-  check_bool "still synchronized" true
-    (List.exists
-       (fun (_, (s : Tlscore.Memsync.stats)) -> s.Tlscore.Memsync.ms_sync_loads > 0)
-       c.Tlscore.Pipeline.mem_stats);
-  check_semantics_preserved "optimized pipeline" memsync_src [||]
-    c.Tlscore.Pipeline.prog;
-  (* And the optimizer run on an already-transformed program must not
-     break its sync instructions either. *)
-  let simplified = Ir.Opt.run c.Tlscore.Pipeline.prog in
-  Ir.Verify.check_exn c.Tlscore.Pipeline.prog;
-  check_bool "optimizer ran" true (simplified >= 0);
-  check_semantics_preserved "post-transform optimize" memsync_src [||]
-    c.Tlscore.Pipeline.prog
-
 let pipeline_u_has_no_memsync () =
   let u =
     Tlscore.Pipeline.compile ~source:memsync_src ~profile_input:[||]
@@ -654,7 +631,6 @@ let () =
           Alcotest.test_case "null elision" `Quick memsync_null_elision;
           Alcotest.test_case "groups registered" `Quick memsync_region_groups_registered;
           Alcotest.test_case "U has no memsync" `Quick pipeline_u_has_no_memsync;
-          Alcotest.test_case "optimize flag" `Quick pipeline_optimize_flag;
         ] );
       ( "sync sched",
         [
