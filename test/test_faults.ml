@@ -184,6 +184,34 @@ let dropped_wait_trips_protocol_check () =
       Alcotest.fail "expected Missing_wait, got No_progress"
   end
 
+(* Both engines run the protocol check, and only while
+   [filter_useless_sync] is off: the filter legitimately elides waits,
+   so under B+ the unwaited load falls back to a violation-protected
+   speculative load and the run stays correct. *)
+let dropped_wait_check_yields_to_filtering () =
+  let compiled = compile_synced chain_src [||] in
+  let applied = mutate_exn Faults.Irfault.Drop_wait compiled.Tlscore.Pipeline.prog in
+  let code = Runtime.Code.of_prog applied.Faults.Irfault.prog in
+  let expected = seq_output chain_src [||] in
+  List.iter
+    (fun (engine_name, engine) ->
+      let with_engine cfg = { cfg with Tls.Config.engine } in
+      (match run_tls (with_engine Tls.Config.c_mode) code [||] with
+      | _ -> Alcotest.fail (engine_name ^ ": expected Stuck (Missing_wait)")
+      | exception Tls.Sim.Stuck d -> begin
+        match d.Tls.Sim.sd_reason with
+        | Tls.Sim.Missing_wait { channel; _ } ->
+          check_int
+            (engine_name ^ ": protocol check names the dropped channel")
+            applied.Faults.Irfault.channel channel
+        | Tls.Sim.No_progress _ ->
+          Alcotest.fail (engine_name ^ ": expected Missing_wait, got No_progress")
+      end);
+      let r = run_tls (with_engine Tls.Config.bplus_mode) code [||] in
+      Alcotest.(check (list int)) (engine_name ^ ": B+ output") expected
+        r.Tls.Simstats.output)
+    [ ("ref", Tls.Config.Engine_ref); ("event", Tls.Config.Engine_event) ]
+
 let dropped_wakeup_trips_watchdog () =
   let compiled = compile_synced chain_src [||] in
   let cfg =
@@ -638,6 +666,8 @@ let () =
             dropped_signal_deadlocks;
           Alcotest.test_case "dropped wait trips protocol check" `Quick
             dropped_wait_trips_protocol_check;
+          Alcotest.test_case "protocol check yields to filtering" `Quick
+            dropped_wait_check_yields_to_filtering;
           Alcotest.test_case "dropped wakeup trips watchdog" `Quick
             dropped_wakeup_trips_watchdog;
           Alcotest.test_case "watchdog boundary is exact" `Quick

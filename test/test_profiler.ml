@@ -199,6 +199,34 @@ let dep_graph_dot () =
   check_bool "solid frequent edge" true (contains "style=solid");
   check_bool "percentage label" true (contains "%\"")
 
+(* The caller's threshold draws the line between solid and dashed
+   edges: g's dependence recurs in nearly every epoch, h's in about a
+   quarter of them. *)
+let dep_graph_dot_threshold () =
+  let prog, p =
+    profile ~watch_all:true
+      "int g; int h; void main() { int i; int x; for (i = 0; i < 20; i = i \
+       + 1) { x = g; g = i; if (i % 4 == 0) { x = x + h; h = i; } } \
+       print(x); }"
+  in
+  let _, dp = dep_profile_of prog p in
+  let styles threshold =
+    let dot = Profiler.Profile.to_dot ~threshold dp in
+    let count needle =
+      let n = String.length needle in
+      let rec from i acc =
+        if i + n > String.length dot then acc
+        else if String.sub dot i n = needle then from (i + n) (acc + 1)
+        else from (i + 1) acc
+      in
+      from 0 0
+    in
+    (count "style=solid", count "style=dashed")
+  in
+  Alcotest.(check (pair int int)) "10%: both solid" (2, 0) (styles 0.10);
+  Alcotest.(check (pair int int)) "50%: g solid, h dashed" (1, 1) (styles 0.5);
+  Alcotest.(check (pair int int)) "100%: both dashed" (0, 2) (styles 1.0)
+
 let profiler_preserves_output () =
   let src = "void main() { print(4); print(2); }" in
   let _, p = profile src in
@@ -223,5 +251,6 @@ let () =
           Alcotest.test_case "load frequency" `Quick dep_loads_frequency;
           Alcotest.test_case "output preserved" `Quick profiler_preserves_output;
           Alcotest.test_case "dependence graph DOT" `Quick dep_graph_dot;
+          Alcotest.test_case "DOT threshold" `Quick dep_graph_dot_threshold;
         ] );
     ]

@@ -487,6 +487,39 @@ let bad_request_is_typed () =
         check_string "typed bad-request" "bad-request" err_class
       | Serve.Request.Result _ -> Alcotest.fail "expected a failure payload")
 
+(* A request names only what differs from the defaults: mode C, the
+   paper's 5% threshold as the pipeline owns it, no sync scheduling. *)
+let request_defaults () =
+  (match
+     Serve.Request.parse_line ~lineno:1
+       {|{"id":7,"op":"simulate","bench":"mcf"}|}
+   with
+  | Ok (Some r) ->
+    check_int "id" 7 r.Serve.Request.rq_id;
+    check_string "mode" "C" r.Serve.Request.rq_mode;
+    Alcotest.(check (float 0.0)) "threshold"
+      Tlscore.Pipeline.default_threshold r.Serve.Request.rq_threshold;
+    Alcotest.(check (float 0.0)) "the paper's 5%" 0.05
+      Tlscore.Pipeline.default_threshold;
+    check_bool "sync sched off" false r.Serve.Request.rq_sync_sched
+  | Ok None -> Alcotest.fail "request line read as blank"
+  | Error msg -> Alcotest.fail msg);
+  match
+    Serve.Request.parse_line ~lineno:3
+      {|{"id":8,"op":"simulate","bench":"mcf","threshold":1.5}|}
+  with
+  | Error msg ->
+    let names_field =
+      let n = String.length "\"threshold\"" in
+      let rec at i =
+        i + n <= String.length msg
+        && (String.sub msg i n = "\"threshold\"" || at (i + 1))
+      in
+      at 0
+    in
+    check_bool "out-of-range threshold named" true names_field
+  | Ok _ -> Alcotest.fail "threshold 1.5 accepted"
+
 let () =
   Random.self_init ();
   Alcotest.run "serve"
@@ -534,4 +567,6 @@ let () =
             service_recovers_from_corrupt_entry;
           Alcotest.test_case "bad request is typed" `Quick bad_request_is_typed;
         ] );
+      ( "request",
+        [ Alcotest.test_case "defaults" `Quick request_defaults ] );
     ]

@@ -127,6 +127,66 @@ let selection_rejects_serialized () =
   check_bool "not selected" true
     (not (List.mem key (Tlscore.Selection.select prog profile)))
 
+(* A profile holding one loop's statistics, as the runner would record
+   them. *)
+let profile_of_stats ~total_instrs key ~instances ~iterations ~dyn_instrs =
+  let profile =
+    {
+      Profiler.Profile.loops = Hashtbl.create 1;
+      deps = Hashtbl.create 1;
+      total_instrs;
+      output = [];
+    }
+  in
+  Hashtbl.replace profile.Profiler.Profile.loops key
+    { Profiler.Profile.instances; iterations; dyn_instrs; nested_instances = 0 };
+  profile
+
+(* The three filters are the paper's fixed values (§3.1), each
+   inclusive: 0.1% coverage, 1.5 epochs per instance, 15 instructions
+   per epoch.  One loop sits exactly on all three boundaries, then just
+   under one of them at a time. *)
+let selection_paper_thresholds () =
+  let prog =
+    Ir.Lower.compile_source
+      "int a[64]; void main() { int i; for (i = 0; i < 64; i = i + 1) { \
+       a[i] = i * 3; } print(a[5]); }"
+  in
+  let key =
+    List.find
+      (fun (k : Profiler.Profile.loop_key) -> k.Profiler.Profile.lk_func = "main")
+      (Profiler.Runner.all_loops prog)
+  in
+  let candidate ~total_instrs ~instances ~iterations ~dyn_instrs =
+    List.find_opt
+      (fun (c : Tlscore.Selection.candidate) -> c.Tlscore.Selection.key = key)
+      (Tlscore.Selection.candidates prog
+         (profile_of_stats ~total_instrs key ~instances ~iterations ~dyn_instrs))
+  in
+  (* 45 instructions over 3 epochs of 2 instances, out of 45000. *)
+  (match candidate ~total_instrs:45_000 ~instances:2 ~iterations:3 ~dyn_instrs:45 with
+  | None -> Alcotest.fail "a loop on every boundary is a candidate"
+  | Some c ->
+    Alcotest.(check (float 0.0)) "coverage" 0.001 c.Tlscore.Selection.coverage;
+    Alcotest.(check (float 0.0)) "epochs per instance" 1.5
+      c.Tlscore.Selection.epochs_per_instance;
+    Alcotest.(check (float 0.0)) "instructions per epoch" 15.0
+      c.Tlscore.Selection.instrs_per_epoch;
+    check_bool "selected" true
+      (Tlscore.Selection.select prog
+         (profile_of_stats ~total_instrs:45_000 key ~instances:2 ~iterations:3
+            ~dyn_instrs:45)
+      = [ key ]));
+  check_bool "coverage under 0.1%" true
+    (candidate ~total_instrs:45_001 ~instances:2 ~iterations:3 ~dyn_instrs:45
+    = None);
+  check_bool "under 1.5 epochs per instance" true
+    (candidate ~total_instrs:45_000 ~instances:3 ~iterations:4 ~dyn_instrs:60
+    = None);
+  check_bool "under 15 instructions per epoch" true
+    (candidate ~total_instrs:44_000 ~instances:2 ~iterations:3 ~dyn_instrs:44
+    = None)
+
 (* ------------------------------------------------------------------ *)
 (* Scalar synchronization                                              *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +344,25 @@ let unroll_factor_suggestion () =
   in
   check_bool "tiny loop unrolled" true (List.exists (fun f -> f >= 2) factors);
   check_bool "fat loop left alone" true (List.mem 1 factors)
+
+(* An epoch of fewer than 40 instructions is unrolled by
+   ceil(40 / size), at least 2 and at most 4. *)
+let unroll_factor_thresholds () =
+  let key = { Profiler.Profile.lk_func = "main"; lk_header = 1 } in
+  let factor ~iterations ~dyn_instrs =
+    Tlscore.Unroll.suggested_factor
+      (profile_of_stats ~total_instrs:(max 1 dyn_instrs) key ~instances:1
+         ~iterations ~dyn_instrs)
+      key
+  in
+  check_int "never ran" 1 (factor ~iterations:0 ~dyn_instrs:0);
+  check_int "40 per epoch: big enough" 1 (factor ~iterations:10 ~dyn_instrs:400);
+  check_int "39 per epoch: at least 2" 2 (factor ~iterations:10 ~dyn_instrs:390);
+  check_int "20 per epoch" 2 (factor ~iterations:10 ~dyn_instrs:200);
+  check_int "14 per epoch" 3 (factor ~iterations:10 ~dyn_instrs:140);
+  check_int "13 per epoch" 4 (factor ~iterations:10 ~dyn_instrs:130);
+  check_int "10 per epoch" 4 (factor ~iterations:10 ~dyn_instrs:100);
+  check_int "5 per epoch: at most 4" 4 (factor ~iterations:10 ~dyn_instrs:50)
 
 let unroll_in_pipeline_absorbs_deps () =
   (* A distance-1 dependence between source iterations becomes partially
@@ -595,6 +674,7 @@ let () =
           Alcotest.test_case "prefers outer" `Quick selection_prefers_outer;
           Alcotest.test_case "rejects serialized" `Quick selection_rejects_serialized;
           Alcotest.test_case "rejects mostly-nested" `Quick selection_rejects_mostly_nested;
+          Alcotest.test_case "paper thresholds" `Quick selection_paper_thresholds;
         ] );
       ( "scalar sync",
         [
@@ -609,6 +689,7 @@ let () =
           Alcotest.test_case "amortizes epochs" `Quick unroll_amortizes_epochs;
           Alcotest.test_case "early exit" `Quick unroll_keeps_early_exit;
           Alcotest.test_case "factor suggestion" `Quick unroll_factor_suggestion;
+          Alcotest.test_case "factor thresholds" `Quick unroll_factor_thresholds;
           Alcotest.test_case "pipeline integration" `Quick unroll_in_pipeline_absorbs_deps;
         ] );
       ( "grouping",
